@@ -13,8 +13,6 @@ SimilarityConfig CapmanConfig::similarity_config() const {
   sim_config.max_iterations = max_iterations;
   sim_config.absorbing_distance = absorbing_distance;
   sim_config.num_threads = similarity_threads;
-  sim_config.use_emd_cache = similarity_emd_cache;
-  sim_config.skip_frozen_pairs = similarity_skip_frozen;
   return sim_config;
 }
 

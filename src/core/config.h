@@ -35,11 +35,6 @@ struct CapmanConfig {
   // Threads for the per-sweep pair fan-out of Algorithm 1; 0 = one per
   // hardware core. Bit-identical results for every value.
   std::size_t similarity_threads = 0;
-  // Exact EMD memoisation across sweeps (bit-identical on/off).
-  bool similarity_emd_cache = true;
-  // Frozen-pair frontier: skips pairs that stopped moving. Approximate
-  // (bounded by epsilon/4 per sweep), so off for the default scheduler.
-  bool similarity_skip_frozen = false;
 
   // Background recalibration cadence: how often the MDP graph is rebuilt
   // and Algorithm 1 re-run ("executed when the device is not busy at the

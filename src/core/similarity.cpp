@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <utility>
 
 #include "math/emd.h"
@@ -25,7 +24,6 @@ std::vector<std::string> SimilarityConfig::validate() const {
   require(epsilon > 0.0, "epsilon must be > 0");
   require(max_iterations > 0, "max_iterations must be > 0");
   require(absorbing_distance >= 0.0, "absorbing_distance must be >= 0");
-  require(freeze_threshold >= 0.0, "freeze_threshold must be >= 0");
   return errors;
 }
 
@@ -35,11 +33,8 @@ void SimilarityStats::publish(obs::MetricsRegistry& registry) const {
   registry.counter("similarity/action_pairs_computed")
       .add(action_pairs_computed);
   registry.counter("similarity/action_pairs_cached").add(action_pairs_cached);
-  registry.counter("similarity/action_pairs_skipped")
-      .add(action_pairs_skipped);
   registry.counter("similarity/state_pairs_total").add(state_pairs_total);
   registry.counter("similarity/state_pairs_computed").add(state_pairs_computed);
-  registry.counter("similarity/state_pairs_skipped").add(state_pairs_skipped);
   registry.gauge("similarity/threads").set(static_cast<double>(threads_used));
 }
 
@@ -50,12 +45,9 @@ SimilarityStats SimilarityStats::from_snapshot(
   stats.action_pairs_computed =
       snap.counter_or("similarity/action_pairs_computed");
   stats.action_pairs_cached = snap.counter_or("similarity/action_pairs_cached");
-  stats.action_pairs_skipped =
-      snap.counter_or("similarity/action_pairs_skipped");
   stats.state_pairs_total = snap.counter_or("similarity/state_pairs_total");
   stats.state_pairs_computed =
       snap.counter_or("similarity/state_pairs_computed");
-  stats.state_pairs_skipped = snap.counter_or("similarity/state_pairs_skipped");
   stats.threads_used =
       static_cast<std::size_t>(snap.gauge_or("similarity/threads", 1.0));
   stats.total_ms = snap.gauge_or("similarity/total_ms", 0.0);
@@ -63,8 +55,6 @@ SimilarityStats SimilarityStats::from_snapshot(
 }
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Memo slot for one action pair: the last solved EMD together with the
 /// exact ground-distance values it was solved under. Reuse requires the
@@ -99,9 +89,7 @@ struct WorkerScratch {
   math::Distribution pb;
   std::size_t action_computed = 0;
   std::size_t action_cached = 0;
-  std::size_t action_skipped = 0;
   std::size_t state_computed = 0;
-  std::size_t state_skipped = 0;
 };
 
 using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
@@ -196,43 +184,6 @@ SimilarityResult compute_structural_similarity(
   std::vector<EmdCacheEntry> emd_cache;
   if (config.use_emd_cache) emd_cache.resize(action_pairs.size());
 
-  // Frozen-frontier bookkeeping: a pair is skipped while its own last
-  // movement was below the threshold AND the cumulative drift of its input
-  // rows since it was last refreshed stays below the threshold. Row drift
-  // is the running sum of per-sweep row movements, so slow creep past the
-  // threshold still wakes a pair.
-  const double freeze_thr =
-      config.freeze_threshold > 0.0 ? config.freeze_threshold
-                                    : config.epsilon / 4.0;
-  std::vector<double> a_pair_last_delta;
-  std::vector<double> s_pair_last_delta;
-  std::vector<double> a_pair_drift_mark;
-  std::vector<double> s_pair_drift_mark;
-  std::vector<double> s_row_drift;  // cumulative movement of s_mat rows
-  std::vector<double> a_row_drift;  // cumulative movement of a_mat rows
-  if (config.skip_frozen_pairs) {
-    a_pair_last_delta.assign(action_pairs.size(), kInf);
-    s_pair_last_delta.assign(state_pairs.size(), kInf);
-    a_pair_drift_mark.assign(action_pairs.size(), 0.0);
-    s_pair_drift_mark.assign(state_pairs.size(), 0.0);
-    s_row_drift.assign(nv, 0.0);
-    a_row_drift.assign(na, 0.0);
-  }
-  const auto action_input_drift = [&](const ActionVertex& va,
-                                      const ActionVertex& vb) {
-    double sum = 0.0;
-    for (const auto& t : va.transitions) sum += s_row_drift[t.to];
-    for (const auto& t : vb.transitions) sum += s_row_drift[t.to];
-    return sum;
-  };
-  const auto state_input_drift = [&](const StateVertex& su,
-                                     const StateVertex& sv) {
-    double sum = 0.0;
-    for (const std::size_t a : su.actions) sum += a_row_drift[a];
-    for (const std::size_t a : sv.actions) sum += a_row_drift[a];
-    return sum;
-  };
-
   math::Matrix s_prev;
   math::Matrix a_prev;
 
@@ -255,12 +206,6 @@ SimilarityResult compute_structural_similarity(
             const auto [a, b] = action_pairs[k];
             const ActionVertex& va = graph.action(a);
             const ActionVertex& vb = graph.action(b);
-            if (config.skip_frozen_pairs && a_pair_last_delta[k] < freeze_thr &&
-                action_input_drift(va, vb) - a_pair_drift_mark[k] <
-                    freeze_thr) {
-              ++sc.action_skipped;
-              continue;
-            }
 
             // Ground distances 1 - S over the two transition supports,
             // row-major |T_a| x |T_b| — the exact inputs of this EMD.
@@ -317,24 +262,10 @@ SimilarityResult compute_structural_similarity(
             const double sim = std::clamp(
                 1.0 - (1.0 - config.c_a) * d_rwd - config.c_a * d_emd, 0.0,
                 1.0);
-            if (config.skip_frozen_pairs) {
-              a_pair_last_delta[k] = std::abs(sim - a_mat(a, b));
-              a_pair_drift_mark[k] = action_input_drift(va, vb);
-            }
             a_mat(a, b) = sim;
             a_mat(b, a) = sim;
           }
         });
-
-    if (config.skip_frozen_pairs) {
-      for (std::size_t a = 0; a < na; ++a) {
-        double moved = 0.0;
-        for (std::size_t b = 0; b < na; ++b) {
-          moved = std::max(moved, std::abs(a_mat(a, b) - a_prev(a, b)));
-        }
-        a_row_drift[a] += moved;
-      }
-    }
 
     // Lines 6-7: state similarities via Hausdorff over action neighbours.
     // Reads the a_mat just completed above (barrier between the phases),
@@ -347,12 +278,6 @@ SimilarityResult compute_structural_similarity(
             const auto [u, v] = state_pairs[k];
             const StateVertex& su = graph.state(u);
             const StateVertex& sv = graph.state(v);
-            if (config.skip_frozen_pairs && s_pair_last_delta[k] < freeze_thr &&
-                state_input_drift(su, sv) - s_pair_drift_mark[k] <
-                    freeze_thr) {
-              ++sc.state_skipped;
-              continue;
-            }
             const auto& nu = su.actions;
             const auto& nvv = sv.actions;
             const double h = math::hausdorff(
@@ -360,25 +285,11 @@ SimilarityResult compute_structural_similarity(
                   return std::clamp(1.0 - a_mat(nu[i], nvv[j]), 0.0, 1.0);
                 });
             const double sim = config.c_s * (1.0 - h);
-            if (config.skip_frozen_pairs) {
-              s_pair_last_delta[k] = std::abs(sim - s_mat(u, v));
-              s_pair_drift_mark[k] = state_input_drift(su, sv);
-            }
             s_mat(u, v) = sim;
             s_mat(v, u) = sim;
             ++sc.state_computed;
           }
         });
-
-    if (config.skip_frozen_pairs) {
-      for (std::size_t u = 0; u < nv; ++u) {
-        double moved = 0.0;
-        for (std::size_t v = 0; v < nv; ++v) {
-          moved = std::max(moved, std::abs(s_mat(u, v) - s_prev(u, v)));
-        }
-        s_row_drift[u] += moved;
-      }
-    }
 
     SimilarityStats& stats = result.stats;
     stats.action_pairs_total += action_pairs.size();
@@ -386,11 +297,9 @@ SimilarityResult compute_structural_similarity(
     for (WorkerScratch& sc : scratch) {
       stats.action_pairs_computed += sc.action_computed;
       stats.action_pairs_cached += sc.action_cached;
-      stats.action_pairs_skipped += sc.action_skipped;
       stats.state_pairs_computed += sc.state_computed;
-      stats.state_pairs_skipped += sc.state_skipped;
-      sc.action_computed = sc.action_cached = sc.action_skipped = 0;
-      sc.state_computed = sc.state_skipped = 0;
+      sc.action_computed = sc.action_cached = 0;
+      sc.state_computed = 0;
     }
     // capman-lint: allow(determinism)
     const auto iter_end = std::chrono::steady_clock::now();

@@ -25,8 +25,10 @@
 // owned by exactly one worker and the convergence reduction runs on the
 // calling thread in a fixed order, making results bit-identical for every
 // thread count. An exact EMD memo (per action pair, verified against the
-// exact ground-distance values before reuse) and an optional frozen-pair
-// frontier cut the per-sweep work once most pairs stop moving.
+// exact ground-distance values before reuse) cuts the per-sweep work once
+// most pairs stop moving. Every mode computes the exact recursion: there
+// is no approximate pair skipping, so the engine knobs below change the
+// work done, never a bit of the result.
 #pragma once
 
 #include <cstddef>
@@ -53,13 +55,6 @@ struct SimilarityConfig {
   // delta_S entries over the two transition supports) are unchanged.
   // Exact: toggling the cache cannot change a single bit of the result.
   bool use_emd_cache = true;
-  // Skip pairs whose similarity moved less than the freeze threshold in
-  // their last computed sweep and whose inputs have drifted less than the
-  // threshold since. Approximate: the result may differ from the exact
-  // fixed point by O(threshold * C_A / (1 - C_A)); off by default.
-  bool skip_frozen_pairs = false;
-  // Freeze/wake threshold for skip_frozen_pairs; 0 means epsilon / 4.
-  double freeze_threshold = 0.0;
 
   // Observability (src/obs): when set, the solve publishes its pair
   // counters into this registry (accumulating across solves) and the
@@ -79,25 +74,23 @@ struct SimilarityConfig {
 
 /// Per-solve instrumentation of the similarity engine. Pair counters are
 /// accumulated over all sweeps: every (pair, sweep) visit is classified as
-/// computed (full EMD / Hausdorff), cached (exact EMD reuse) or skipped
-/// (frozen frontier), so computed + cached + skipped == total.
+/// computed (full EMD / Hausdorff) or cached (exact EMD reuse), so
+/// computed + cached == total.
 struct SimilarityStats {
   std::size_t action_pairs_total = 0;
   std::size_t action_pairs_computed = 0;
   std::size_t action_pairs_cached = 0;
-  std::size_t action_pairs_skipped = 0;
   std::size_t state_pairs_total = 0;     // no cache on the Hausdorff side:
-  std::size_t state_pairs_computed = 0;  // computed + skipped == total
-  std::size_t state_pairs_skipped = 0;
+  std::size_t state_pairs_computed = 0;  // computed == total
   std::vector<double> iteration_ms;  // wall time of each sweep
   double total_ms = 0.0;
   std::size_t threads_used = 1;
 
   /// The accounting invariant above; asserted in tests.
   [[nodiscard]] bool consistent() const {
-    return action_pairs_computed + action_pairs_cached +
-               action_pairs_skipped == action_pairs_total &&
-           state_pairs_computed + state_pairs_skipped == state_pairs_total;
+    return action_pairs_computed + action_pairs_cached ==
+               action_pairs_total &&
+           state_pairs_computed == state_pairs_total;
   }
 
   /// Publish the pair counters (and threads gauge) into `registry` under

@@ -1,48 +1,172 @@
 #include "math/emd.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
-#include "math/min_cost_flow.h"
-
 namespace capman::math {
+
+namespace {
+
+constexpr double kEps = 1e-12;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+double checked_total(const std::vector<double>& mass) {
+  for (const double m : mass) {
+    if (!std::isfinite(m) || m < 0.0) {
+      throw std::invalid_argument(
+          "earth_movers_distance: mass must be finite and >= 0");
+    }
+  }
+  const double total = std::accumulate(mass.begin(), mass.end(), 0.0);
+  if (!(total > 0.0) || !std::isfinite(total)) {
+    throw std::invalid_argument("earth_movers_distance: empty distribution");
+  }
+  return total;
+}
+
+}  // namespace
 
 double earth_movers_distance(const Distribution& p, const Distribution& q,
                              const GroundDistance& d) {
-  const std::size_t np = p.mass.size();
-  const std::size_t nq = q.mass.size();
-  const double total_p = std::accumulate(p.mass.begin(), p.mass.end(), 0.0);
-  const double total_q = std::accumulate(q.mass.begin(), q.mass.end(), 0.0);
-  if (total_p <= 0.0 || total_q <= 0.0) {
-    throw std::invalid_argument("earth_movers_distance: empty distribution");
-  }
+  const double total_p = checked_total(p.mass);
+  const double total_q = checked_total(q.mass);
 
-  // Nodes: 0 = source, 1..np = p supports, np+1..np+nq = q supports,
-  // np+nq+1 = sink.
-  const std::size_t source = 0;
-  const std::size_t sink = np + nq + 1;
-  MinCostFlow flow(np + nq + 2);
-  for (std::size_t i = 0; i < np; ++i) {
-    const double m = p.mass[i] / total_p;
-    if (m > 0.0) flow.add_edge(source, 1 + i, m, 0.0);
+  // Only positive masses take part: rows are p's support, columns q's.
+  std::vector<std::size_t> row_point;
+  std::vector<std::size_t> col_point;
+  for (std::size_t i = 0; i < p.mass.size(); ++i) {
+    if (p.mass[i] > 0.0) row_point.push_back(i);
   }
-  for (std::size_t j = 0; j < nq; ++j) {
-    const double m = q.mass[j] / total_q;
-    if (m > 0.0) flow.add_edge(1 + np + j, sink, m, 0.0);
+  for (std::size_t j = 0; j < q.mass.size(); ++j) {
+    if (q.mass[j] > 0.0) col_point.push_back(j);
   }
-  for (std::size_t i = 0; i < np; ++i) {
-    if (p.mass[i] <= 0.0) continue;
-    for (std::size_t j = 0; j < nq; ++j) {
-      if (q.mass[j] <= 0.0) continue;
-      const double cost = d(i, j);
-      assert(cost >= 0.0);
-      flow.add_edge(1 + i, 1 + np + j, 2.0, cost);  // capacity > any mass
+  const std::size_t rows = row_point.size();
+  const std::size_t cols = col_point.size();
+
+  std::vector<double> supply(rows);
+  std::vector<double> demand(cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    supply[i] = p.mass[row_point[i]] / total_p;
+  }
+  for (std::size_t j = 0; j < cols; ++j) {
+    demand[j] = q.mass[col_point[j]] / total_q;
+  }
+  std::vector<double> cost(rows * cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      cost[i * cols + j] = d(row_point[i], col_point[j]);
+      assert(cost[i * cols + j] >= 0.0);
     }
   }
-  const auto result = flow.solve(source, sink, 1.0);
-  return result.cost;
+  std::vector<double> flow(rows * cols, 0.0);
+
+  // Successive shortest paths on the complete bipartite residual graph.
+  // Nodes 0..rows-1 are rows, rows..rows+cols-1 columns. Forward arcs
+  // row -> column are uncapacitated; a backward arc column -> row exists
+  // while its forward arc carries flow. Every row that still has supply is
+  // a source at distance 0. Those rows were never reached at positive
+  // distance, so their potential stays 0, and a column's true path cost is
+  // its reduced distance plus its potential.
+  const std::size_t nodes = rows + cols;
+  std::vector<double> potential(nodes, 0.0);
+  std::vector<double> dist(nodes);
+  std::vector<std::size_t> parent(nodes);
+  std::vector<bool> done(nodes);
+  const auto reduced = [&](std::size_t i, std::size_t j) {
+    return cost[i * cols + j] + potential[i] - potential[rows + j];
+  };
+
+  for (;;) {
+    bool any_supply = false;
+    for (std::size_t i = 0; i < rows; ++i) {
+      dist[i] = supply[i] > kEps ? 0.0 : kInf;
+      any_supply = any_supply || supply[i] > kEps;
+    }
+    if (!any_supply) break;
+    std::fill(dist.begin() + static_cast<std::ptrdiff_t>(rows), dist.end(),
+              kInf);
+    std::fill(done.begin(), done.end(), false);
+
+    // Linear-scan Dijkstra: V = rows + cols is a handful of nodes, so an
+    // O(V^2) scan beats any heap.
+    for (;;) {
+      std::size_t u = nodes;
+      for (std::size_t v = 0; v < nodes; ++v) {
+        if (!done[v] && dist[v] < kInf && (u == nodes || dist[v] < dist[u])) {
+          u = v;
+        }
+      }
+      if (u == nodes) break;
+      done[u] = true;
+      if (u < rows) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          const double cand = dist[u] + std::max(reduced(u, j), 0.0);
+          if (cand < dist[rows + j] - kEps) {
+            dist[rows + j] = cand;
+            parent[rows + j] = u;
+          }
+        }
+      } else {
+        const std::size_t j = u - rows;
+        for (std::size_t i = 0; i < rows; ++i) {
+          if (flow[i * cols + j] <= kEps) continue;
+          const double cand = dist[u] + std::max(-reduced(i, j), 0.0);
+          if (cand < dist[i] - kEps) {
+            dist[i] = cand;
+            parent[i] = u;
+          }
+        }
+      }
+    }
+
+    // Any column with unmet demand ends a valid augmenting path (forward
+    // arcs reach every column); taking the cheapest by true path cost
+    // routes as a super-sink would.
+    std::size_t sink = nodes;
+    for (std::size_t j = 0; j < cols; ++j) {
+      const std::size_t v = rows + j;
+      if (demand[j] <= kEps) continue;
+      if (sink == nodes ||
+          dist[v] + potential[v] < dist[sink] + potential[sink] - kEps) {
+        sink = v;
+      }
+    }
+    if (sink == nodes) break;
+    for (std::size_t v = 0; v < nodes; ++v) {
+      if (dist[v] < kInf) potential[v] += dist[v];
+    }
+
+    // Walk back to the source row: the bottleneck is the source's supply,
+    // the sink's demand and the flow on every backward arc of the path.
+    double push = demand[sink - rows];
+    std::size_t src = sink;
+    for (;;) {
+      src = parent[src];
+      if (supply[src] > kEps) break;  // only source rows keep supply
+      push = std::min(push, flow[src * cols + (parent[src] - rows)]);
+      src = parent[src];
+    }
+    push = std::min(push, supply[src]);
+    assert(push > kEps);
+
+    supply[src] -= push;
+    demand[sink - rows] -= push;
+    for (std::size_t c = sink;;) {
+      const std::size_t i = parent[c];
+      flow[i * cols + (c - rows)] += push;
+      if (i == src) break;
+      c = parent[i];
+      flow[i * cols + (c - rows)] -= push;
+    }
+  }
+
+  double total = 0.0;
+  for (std::size_t k = 0; k < rows * cols; ++k) total += flow[k] * cost[k];
+  return total;
 }
 
 double emd_1d(const std::vector<double>& p, const std::vector<double>& q) {

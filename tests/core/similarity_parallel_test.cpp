@@ -1,12 +1,10 @@
 // The engine contracts of the parallel/memoized Algorithm 1 (see
 // core/similarity.h): sharding across threads and the exact EMD cache are
-// bit-identical transformations, the frozen-pair frontier is a bounded
-// approximation, and the SimilarityStats accounting always balances.
+// bit-identical transformations, and the SimilarityStats accounting always
+// balances.
 #include "core/similarity.h"
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "graph_test_util.h"
 
@@ -21,7 +19,6 @@ SimilarityConfig base_config() {
   cfg.max_iterations = 500;
   cfg.num_threads = 1;
   cfg.use_emd_cache = false;
-  cfg.skip_frozen_pairs = false;
   return cfg;
 }
 
@@ -41,16 +38,6 @@ void expect_bit_identical(const SimilarityResult& a,
   expect_bit_identical(a.action_similarity, b.action_similarity);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.converged, b.converged);
-}
-
-double max_abs_diff(const math::Matrix& a, const math::Matrix& b) {
-  double worst = 0.0;
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) {
-      worst = std::max(worst, std::abs(a(r, c) - b(r, c)));
-    }
-  }
-  return worst;
 }
 
 TEST(SimilarityParallel, ThreadCountDoesNotChangeResults) {
@@ -98,80 +85,37 @@ TEST(SimilarityParallel, StatsCountersAreConsistent) {
   util::Rng rng{94};
   const auto graph = testutil::random_graph(rng, 14, 3);
   for (const bool cache : {false, true}) {
-    for (const bool skip : {false, true}) {
-      for (const std::size_t threads : {1, 3, 8}) {
-        SimilarityConfig cfg = base_config();
-        cfg.use_emd_cache = cache;
-        cfg.skip_frozen_pairs = skip;
-        cfg.num_threads = threads;
-        const auto result = compute_structural_similarity(graph, cfg);
-        EXPECT_TRUE(result.stats.consistent());
-        // Totals are (pairs per sweep) * sweeps.
-        EXPECT_EQ(result.stats.action_pairs_total % result.iterations, 0u);
-        EXPECT_EQ(result.stats.state_pairs_total % result.iterations, 0u);
-        EXPECT_EQ(result.stats.iteration_ms.size(), result.iterations);
-        if (!cache) {
-          EXPECT_EQ(result.stats.action_pairs_cached, 0u);
-        }
-        if (!skip) {
-          EXPECT_EQ(result.stats.action_pairs_skipped, 0u);
-          EXPECT_EQ(result.stats.state_pairs_skipped, 0u);
-        }
+    for (const std::size_t threads : {1, 3, 8}) {
+      SimilarityConfig cfg = base_config();
+      cfg.use_emd_cache = cache;
+      cfg.num_threads = threads;
+      const auto result = compute_structural_similarity(graph, cfg);
+      EXPECT_TRUE(result.stats.consistent());
+      // Totals are (pairs per sweep) * sweeps.
+      EXPECT_EQ(result.stats.action_pairs_total % result.iterations, 0u);
+      EXPECT_EQ(result.stats.state_pairs_total % result.iterations, 0u);
+      EXPECT_EQ(result.stats.iteration_ms.size(), result.iterations);
+      if (!cache) {
+        EXPECT_EQ(result.stats.action_pairs_cached, 0u);
       }
     }
   }
 }
 
-TEST(SimilarityParallel, FrozenFrontierIsBoundedApproximation) {
-  util::Rng rng{95};
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto graph = testutil::random_graph(rng, 14, 3);
-    SimilarityConfig cfg = base_config();
-    cfg.epsilon = 1e-4;
-    const auto exact = compute_structural_similarity(graph, cfg);
-    cfg.skip_frozen_pairs = true;
-    const auto frozen = compute_structural_similarity(graph, cfg);
-    // Independent of threads.
-    cfg.num_threads = 4;
-    const auto frozen4 = compute_structural_similarity(graph, cfg);
-    expect_bit_identical(frozen, frozen4);
-    // Error vs the exact fixed point is O(threshold * c / (1 - c)) with
-    // threshold = epsilon / 4; allow a small constant factor of slack.
-    const double bound =
-        2.0 * (cfg.epsilon / 4.0) * cfg.c_a / (1.0 - cfg.c_a);
-    EXPECT_LE(
-        max_abs_diff(exact.state_similarity, frozen.state_similarity),
-        bound);
-    EXPECT_LE(
-        max_abs_diff(exact.action_similarity, frozen.action_similarity),
-        bound);
-  }
-}
-
-TEST(SimilarityParallel, FrozenFrontierSkipsPairsOnConvergingGraph) {
-  util::Rng rng{96};
-  const auto graph = testutil::random_graph(rng, 16, 4);
-  SimilarityConfig cfg = base_config();
-  cfg.epsilon = 1e-6;
-  cfg.skip_frozen_pairs = true;
-  const auto result = compute_structural_similarity(graph, cfg);
-  EXPECT_TRUE(result.converged);
-  EXPECT_GT(result.stats.action_pairs_skipped +
-                result.stats.state_pairs_skipped,
-            0u);
-}
-
 TEST(SimilarityParallel, EmptyAndTinyGraphsSurviveAllEngineModes) {
   const MdpGraph empty;
   const auto chain = testutil::two_state_chain(0.5);
-  SimilarityConfig cfg = base_config();
-  cfg.num_threads = 8;
-  cfg.use_emd_cache = true;
-  cfg.skip_frozen_pairs = true;
-  EXPECT_TRUE(compute_structural_similarity(empty, cfg).converged);
-  const auto result = compute_structural_similarity(chain, cfg);
-  EXPECT_TRUE(result.converged);
-  EXPECT_DOUBLE_EQ(result.state_similarity(0, 0), 1.0);
+  for (const bool cache : {false, true}) {
+    for (const std::size_t threads : {1, 8}) {
+      SimilarityConfig cfg = base_config();
+      cfg.num_threads = threads;
+      cfg.use_emd_cache = cache;
+      EXPECT_TRUE(compute_structural_similarity(empty, cfg).converged);
+      const auto result = compute_structural_similarity(chain, cfg);
+      EXPECT_TRUE(result.converged);
+      EXPECT_DOUBLE_EQ(result.state_similarity(0, 0), 1.0);
+    }
+  }
 }
 
 }  // namespace

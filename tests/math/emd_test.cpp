@@ -1,0 +1,270 @@
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
+#include "math/emd.h"
+#include "util/rng.h"
+
+namespace capman::math {
+namespace {
+
+// Brute-force check on 2x2 transportation instances: the flow on
+// (source 0, sink 0) parameterizes the whole plan.
+TEST(Emd, MatchesBruteForceOnTransportation) {
+  util::Rng rng{77};
+  for (int trial = 0; trial < 50; ++trial) {
+    // Two sources (supply a, 1 - a), two sinks (demand c, 1 - c).
+    const double a = rng.uniform(0.1, 0.9);
+    const double c = rng.uniform(0.1, 0.9);
+    double cost[2][2];
+    for (auto& row : cost) {
+      for (double& x : row) x = rng.uniform(0.0, 1.0);
+    }
+    const double emd = earth_movers_distance(
+        Distribution{{a, 1.0 - a}}, Distribution{{c, 1.0 - c}},
+        [&](std::size_t i, std::size_t j) { return cost[i][j]; });
+
+    double best = 1e18;
+    for (int k = 0; k <= 2000; ++k) {
+      const double x = k / 2000.0;
+      const double x01 = a - x;        // source0 -> sink1
+      const double x10 = c - x;        // source1 -> sink0
+      const double x11 = (1.0 - a) - x10;
+      if (x01 < -1e-12 || x10 < -1e-12 || x11 < -1e-12 || x > a + 1e-12 ||
+          x > c + 1e-12) {
+        continue;
+      }
+      best = std::min(best, x * cost[0][0] + x01 * cost[0][1] +
+                                x10 * cost[1][0] + x11 * cost[1][1]);
+    }
+    EXPECT_NEAR(emd, best, 2e-3);
+  }
+}
+
+// Cheapest integral plan with the given row and column sums, by
+// enumerating every plan cell by cell (row-major).
+double brute_force_plan_cost(std::vector<int> supply, std::vector<int> demand,
+                             const std::vector<double>& cost,
+                             std::size_t cell = 0) {
+  const std::size_t cols = demand.size();
+  if (cell == supply.size() * cols) return 0.0;  // all sums are now zero
+  const std::size_t i = cell / cols;
+  const std::size_t j = cell % cols;
+  // The last cell of a row must take the row's remainder; the last row
+  // must take each column's remainder.
+  const bool forced = j + 1 == cols || i + 1 == supply.size();
+  const int hi = std::min(supply[i], demand[j]);
+  const int lo = forced ? (j + 1 == cols ? supply[i] : demand[j]) : 0;
+  double best = std::numeric_limits<double>::infinity();
+  for (int x = lo; x <= hi; ++x) {
+    supply[i] -= x;
+    demand[j] -= x;
+    best = std::min(best, x * cost[cell] + brute_force_plan_cost(
+                                               supply, demand, cost, cell + 1));
+    supply[i] += x;
+    demand[j] += x;
+    if (forced) break;
+  }
+  return best;
+}
+
+// Integer masses summing to m, with zeros allowed (at least one positive).
+std::vector<int> random_composition(util::Rng& rng, std::size_t n, int m) {
+  std::vector<int> parts(n, 0);
+  for (int unit = 0; unit < m; ++unit) ++parts[rng.uniform_index(n)];
+  return parts;
+}
+
+// The transportation LP is totally unimodular, so with masses in units of
+// 1/m some optimal plan is integral in those units: enumerating integral
+// plans gives the exact optimum. Ground distances come from a small grid
+// so ties and zeros are common.
+TEST(Emd, MatchesExactIntegralPlansUpTo3x4) {
+  util::Rng rng{2024};
+  int checked = 0;
+  for (std::size_t np = 1; np <= 3; ++np) {
+    for (std::size_t nq = 1; nq <= 4; ++nq) {
+      for (int m = 1; m <= 6; ++m) {
+        for (int trial = 0; trial < 12; ++trial) {
+          const auto a = random_composition(rng, np, m);
+          const auto b = random_composition(rng, nq, m);
+          std::vector<double> cost(np * nq);
+          for (double& c : cost) {
+            c = 0.25 * static_cast<double>(rng.uniform_index(5));
+          }
+          const double exact = brute_force_plan_cost(a, b, cost) / m;
+          Distribution p;
+          Distribution q;
+          p.mass.assign(a.begin(), a.end());
+          q.mass.assign(b.begin(), b.end());
+          const double emd = earth_movers_distance(
+              p, q, [&](std::size_t i, std::size_t j) {
+                return cost[i * nq + j];
+              });
+          EXPECT_NEAR(emd, exact, 1e-12)
+              << np << "x" << nq << " m=" << m << " trial=" << trial;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 3 * 4 * 6 * 12);
+}
+
+// With one point on either side there is exactly one plan: everything
+// moves to (or from) that point.
+TEST(Emd, SinglePointSupportHasOnePlan) {
+  util::Rng rng{31};
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(6);
+    std::vector<double> mass(n);
+    std::vector<double> cost(n);
+    double total = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      mass[k] = rng.uniform_index(4) == 0 ? 0.0 : rng.uniform(0.1, 2.0);
+      cost[k] = rng.uniform();
+      total += mass[k];
+    }
+    if (total == 0.0) {
+      mass[0] = 1.0;
+      total = 1.0;
+    }
+    double expected = 0.0;
+    for (std::size_t k = 0; k < n; ++k) expected += mass[k] / total * cost[k];
+
+    const Distribution point{{3.0}};
+    const Distribution spread{mass};
+    // 1 x n: the single row ships to every column.
+    EXPECT_NEAR(earth_movers_distance(
+                    point, spread,
+                    [&](std::size_t, std::size_t j) { return cost[j]; }),
+                expected, 1e-14);
+    // n x 1: every row ships to the single column.
+    EXPECT_NEAR(earth_movers_distance(
+                    spread, point,
+                    [&](std::size_t i, std::size_t) { return cost[i]; }),
+                expected, 1e-14);
+  }
+}
+
+TEST(Emd, IdenticalDistributionsZero) {
+  Distribution p{{0.3, 0.7}};
+  const auto d = [](std::size_t i, std::size_t j) {
+    return i == j ? 0.0 : 1.0;
+  };
+  EXPECT_NEAR(earth_movers_distance(p, p, d), 0.0, 1e-9);
+}
+
+TEST(Emd, DisjointPointMasses) {
+  Distribution p{{1.0, 0.0}};
+  Distribution q{{0.0, 1.0}};
+  const auto d = [](std::size_t i, std::size_t j) {
+    return i == j ? 0.0 : 0.8;
+  };
+  EXPECT_NEAR(earth_movers_distance(p, q, d), 0.8, 1e-9);
+}
+
+TEST(Emd, NormalizesUnnormalizedInputs) {
+  Distribution p{{2.0, 2.0}};   // = {0.5, 0.5}
+  Distribution q{{30.0, 10.0}}; // = {0.75, 0.25}
+  const auto d = [](std::size_t i, std::size_t j) {
+    return std::abs(static_cast<double>(i) - static_cast<double>(j));
+  };
+  // Move 0.25 mass a distance of 1.
+  EXPECT_NEAR(earth_movers_distance(p, q, d), 0.25, 1e-9);
+}
+
+TEST(Emd, ThrowsOnEmptyDistribution) {
+  Distribution p{{0.0}};
+  Distribution q{{1.0}};
+  const auto d = [](std::size_t, std::size_t) { return 1.0; };
+  EXPECT_THROW(earth_movers_distance(p, q, d), std::invalid_argument);
+}
+
+TEST(Emd, ThrowsOnNegativeMass) {
+  Distribution p{{-0.5, 1.0}};
+  Distribution q{{0.5, 0.5}};
+  const auto d = [](std::size_t i, std::size_t j) {
+    return i == j ? 0.0 : 1.0;
+  };
+  EXPECT_THROW(earth_movers_distance(p, q, d), std::invalid_argument);
+  EXPECT_THROW(earth_movers_distance(q, p, d), std::invalid_argument);
+}
+
+TEST(Emd, ThrowsOnNaNMass) {
+  Distribution p{{std::numeric_limits<double>::quiet_NaN(), 1.0}};
+  Distribution q{{0.5, 0.5}};
+  const auto d = [](std::size_t i, std::size_t j) {
+    return i == j ? 0.0 : 1.0;
+  };
+  EXPECT_THROW(earth_movers_distance(p, q, d), std::invalid_argument);
+  EXPECT_THROW(earth_movers_distance(q, p, d), std::invalid_argument);
+}
+
+TEST(Emd, ThrowsOnInfiniteMass) {
+  Distribution p{{std::numeric_limits<double>::infinity(), 1.0}};
+  Distribution q{{0.5, 0.5}};
+  const auto d = [](std::size_t i, std::size_t j) {
+    return i == j ? 0.0 : 1.0;
+  };
+  EXPECT_THROW(earth_movers_distance(p, q, d), std::invalid_argument);
+  EXPECT_THROW(earth_movers_distance(q, p, d), std::invalid_argument);
+}
+
+TEST(Emd, MatchesClosedForm1D) {
+  util::Rng rng{123};
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 2 + rng.uniform_index(6);
+    std::vector<double> p(n);
+    std::vector<double> q(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      p[i] = rng.uniform(0.01, 1.0);
+      q[i] = rng.uniform(0.01, 1.0);
+    }
+    Distribution dp{p};
+    Distribution dq{q};
+    const auto ground = [](std::size_t i, std::size_t j) {
+      return std::abs(static_cast<double>(i) - static_cast<double>(j));
+    };
+    EXPECT_NEAR(earth_movers_distance(dp, dq, ground), emd_1d(p, q), 1e-6);
+  }
+}
+
+TEST(Emd, SymmetricWithMetricGround) {
+  util::Rng rng{321};
+  for (int trial = 0; trial < 20; ++trial) {
+    Distribution p{{rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0),
+                    rng.uniform(0.1, 1.0)}};
+    Distribution q{{rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0),
+                    rng.uniform(0.1, 1.0)}};
+    const auto ground = [](std::size_t i, std::size_t j) {
+      return i == j ? 0.0 : 0.5 + 0.1 * static_cast<double>(i + j);
+    };
+    const auto ground_t = [&](std::size_t i, std::size_t j) {
+      return ground(j, i);
+    };
+    EXPECT_NEAR(earth_movers_distance(p, q, ground),
+                earth_movers_distance(q, p, ground_t), 1e-7);
+  }
+}
+
+TEST(Emd, BoundedByGroundDiameter) {
+  util::Rng rng{55};
+  for (int trial = 0; trial < 20; ++trial) {
+    Distribution p{{rng.uniform(), rng.uniform(), rng.uniform(), 0.01}};
+    Distribution q{{0.01, rng.uniform(), rng.uniform(), rng.uniform()}};
+    const auto ground = [](std::size_t i, std::size_t j) {
+      return i == j ? 0.0 : 1.0;
+    };
+    const double d = earth_movers_distance(p, q, ground);
+    EXPECT_GE(d, -1e-9);
+    EXPECT_LE(d, 1.0 + 1e-9);
+  }
+}
+
+}  // namespace
+}  // namespace capman::math
