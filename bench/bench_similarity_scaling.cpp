@@ -8,16 +8,22 @@
 // the EMD cache are bit-identical transformations, which this binary
 // re-verifies on every graph.
 //
+// A last, budget-style graph replicates every action vertex at the three
+// budget levels (identical transitions, fresh rewards), the shape
+// learn_budget produces; its cached EMD solves gate the engine's
+// one-EMD-per-distribution-class-pair dedupe.
+//
 // Columns: engine wall time [ms], speedup vs the serial path, sweeps, and
 // the pair-visit breakdown (EMD solved / cache hits) from SimilarityStats.
 // With --csv, writes bench_similarity_scaling.csv with one row per
-// (states, mode, threads) configuration.
+// (states, actions, mode, threads) configuration.
 #include "bench_common.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 
+#include "core/budget_level.h"
 #include "core/similarity.h"
 #include "util/rng.h"
 
@@ -57,6 +63,31 @@ core::MdpGraph learned_shape_graph(std::size_t n_states, util::Rng& rng) {
       for (auto& e : av.transitions) e.probability /= total;
       states[s].actions.push_back(actions.size());
       actions.push_back(std::move(av));
+    }
+  }
+  return core::MdpGraph::from_parts(std::move(states), std::move(actions));
+}
+
+// The budget-level copies of a learned action: each action vertex of
+// `graph` becomes three, one per budget level, with the same transition
+// support and independently drawn rewards.
+core::MdpGraph budget_replicated(const core::MdpGraph& graph,
+                                 util::Rng& rng) {
+  std::vector<core::StateVertex> states = graph.states();
+  std::vector<core::ActionVertex> actions;
+  for (core::StateVertex& state : states) {
+    const std::vector<std::size_t> originals = std::move(state.actions);
+    state.actions.clear();
+    for (const std::size_t a : originals) {
+      for (std::size_t level = 0; level < core::kBudgetLevelCount; ++level) {
+        core::ActionVertex copy = graph.action(a);
+        copy.action_id =
+            (level * core::base_decision_action_space_size() +
+             copy.action_id % core::base_decision_action_space_size());
+        for (auto& e : copy.transitions) e.reward = rng.uniform();
+        state.actions.push_back(actions.size());
+        actions.push_back(std::move(copy));
+      }
     }
   }
   return core::MdpGraph::from_parts(std::move(states), std::move(actions));
@@ -132,20 +163,22 @@ int main(int argc, char** argv) {
   }
 
   bool all_identical = true;
-  double largest_speedup_4t = 0.0;
-  // Deterministic headline counts from the largest (96-state) graph, for
-  // the BENCH_similarity_scaling.json artifact.
-  std::uint64_t final_sweeps = 0;
-  std::uint64_t final_emd_solved = 0;
-  for (const std::size_t n_states : {24, 48, 96}) {
-    const auto graph = learned_shape_graph(n_states, rng);
-    const int reps = n_states <= 48 ? 3 : 1;
 
-    std::cout << "\n  |S| = " << graph.state_count()
+  // One graph's study: the serial path, the engine at 1/2/4/8 threads and
+  // the cache-off engine at 4, each checked bit-identical to serial.
+  struct Study {
+    core::SimilarityResult serial;
+    core::SimilarityResult engine_1t;
+    double speedup_4t = 0.0;
+  };
+  const auto study = [&](const core::MdpGraph& graph, int reps,
+                         const std::string& label) {
+    std::cout << "\n  " << label << "|S| = " << graph.state_count()
               << ", |Lambda| = " << graph.action_count() << " ("
               << graph.action_count() * (graph.action_count() - 1) / 2
               << " action pairs per sweep)\n";
 
+    Study out;
     const auto serial = run_timed(graph, engine_config(1, false), reps);
 
     util::TextTable table({"mode", "threads", "ms", "speedup", "sweeps",
@@ -177,24 +210,40 @@ int main(int argc, char** argv) {
 
     report("serial", 1, serial);
     for (const std::size_t threads : {1, 2, 4, 8}) {
-      const auto engine =
-          run_timed(graph, engine_config(threads, true), reps);
+      auto engine = run_timed(graph, engine_config(threads, true), reps);
       const double speedup = report("engine", threads, engine);
       if (!bit_identical(serial.result, engine.result)) {
         all_identical = false;
       }
-      if (threads == 4 && n_states == 96) largest_speedup_4t = speedup;
+      if (threads == 1) out.engine_1t = std::move(engine.result);
+      if (threads == 4) out.speedup_4t = speedup;
     }
     // Cache off at 4 threads: the pure-threading row.
     const auto no_cache =
         run_timed(graph, engine_config(4, false), reps);
     report("no-cache", 4, no_cache);
     if (!bit_identical(serial.result, no_cache.result)) all_identical = false;
-
-    final_sweeps = static_cast<std::uint64_t>(serial.result.iterations);
-    final_emd_solved = serial.result.stats.action_pairs_computed;
     table.print(std::cout);
+    out.serial = serial.result;
+    return out;
+  };
+
+  // Deterministic headline counts from the largest (96-state) graph and
+  // the budget-style graph, for the BENCH_similarity_scaling.json artifact.
+  double largest_speedup_4t = 0.0;
+  std::uint64_t final_sweeps = 0;
+  std::uint64_t final_emd_solved = 0;
+  for (const std::size_t n_states : {24, 48, 96}) {
+    const auto graph = learned_shape_graph(n_states, rng);
+    const Study st = study(graph, n_states <= 48 ? 3 : 1, "");
+    largest_speedup_4t = st.speedup_4t;
+    final_sweeps = static_cast<std::uint64_t>(st.serial.iterations);
+    final_emd_solved = st.serial.stats.action_pairs_computed;
   }
+  const auto dup_graph = budget_replicated(learned_shape_graph(48, rng), rng);
+  const std::uint64_t emd_solved_dup =
+      study(dup_graph, 3, "budget-replicated, ")
+          .engine_1t.stats.action_pairs_computed;
 
   bench::measured_note(
       std::cout, std::string{"thread/cache modes bit-identical to serial: "} +
@@ -215,6 +264,7 @@ int main(int argc, char** argv) {
     artifact.metric("bit_identical", all_identical ? 1.0 : 0.0);
     artifact.metric("sweeps_96", static_cast<double>(final_sweeps));
     artifact.metric("emd_solved_96", static_cast<double>(final_emd_solved));
+    artifact.metric("emd_solved_dup", static_cast<double>(emd_solved_dup));
     artifact.metric("speedup_x4_96", largest_speedup_4t);
     artifact.write_file();
   }

@@ -18,12 +18,19 @@ std::string to_string(const DecisionAction& a) {
 Mdp::Mdp(double recency_decay, std::size_t action_count)
     : recency_decay_(recency_decay),
       action_count_(action_count),
-      counts_(state_space_size() * action_count * state_space_size(), 0.0),
-      reward_sums_(counts_.size(), 0.0),
-      sa_counts_(state_space_size() * action_count, 0.0),
+      pairs_(state_space_size() * action_count),
       state_seen_(state_space_size(), 0) {
   assert(recency_decay_ > 0.0 && recency_decay_ <= 1.0);
   assert(action_count_ > 0 && action_count_ <= decision_action_space_size());
+}
+
+const Mdp::Successor* Mdp::find(std::size_t s, std::size_t a,
+                                std::size_t next) const {
+  const auto& succ = pair(s, a).successors;
+  const auto it = std::lower_bound(
+      succ.begin(), succ.end(), next,
+      [](const Successor& c, std::size_t n) { return c.next < n; });
+  return it != succ.end() && it->next == next ? &*it : nullptr;
 }
 
 void Mdp::observe(const Observation& obs) {
@@ -31,57 +38,62 @@ void Mdp::observe(const Observation& obs) {
   assert(obs.next_state < state_space_size());
   assert(obs.action.index() < action_count_);
   assert(obs.reward >= 0.0 && obs.reward <= 1.0);
-  const std::size_t a = obs.action.index();
+  PairStats& p = pairs_[obs.state * action_count_ + obs.action.index()];
   if (recency_decay_ < 1.0) {
     // Fade this pair's prior evidence before adding the new sample.
-    for (std::size_t next = 0; next < state_space_size(); ++next) {
-      counts_[flat(obs.state, a, next)] *= recency_decay_;
-      reward_sums_[flat(obs.state, a, next)] *= recency_decay_;
+    // Unobserved successors hold zero evidence, which decay keeps at zero.
+    for (Successor& c : p.successors) {
+      c.count *= recency_decay_;
+      c.reward_sum *= recency_decay_;
     }
-    sa_counts_[flat_sa(obs.state, a)] *= recency_decay_;
+    p.count *= recency_decay_;
   }
-  const std::size_t f = flat(obs.state, a, obs.next_state);
-  counts_[f] += 1.0;
-  reward_sums_[f] += obs.reward;
-  sa_counts_[flat_sa(obs.state, a)] += 1.0;
+  auto it = std::lower_bound(
+      p.successors.begin(), p.successors.end(), obs.next_state,
+      [](const Successor& c, std::size_t n) { return c.next < n; });
+  if (it == p.successors.end() || it->next != obs.next_state) {
+    it = p.successors.insert(it, {obs.next_state, 0.0, 0.0});
+  }
+  it->count += 1.0;
+  it->reward_sum += obs.reward;
+  p.count += 1.0;
   state_seen_[obs.state] = 1;
   state_seen_[obs.next_state] = 1;
   ++total_;
 }
 
 double Mdp::count(std::size_t s, std::size_t a) const {
-  return sa_counts_[flat_sa(s, a)];
+  return pair(s, a).count;
 }
 
 double Mdp::count(std::size_t s, std::size_t a, std::size_t next) const {
-  return counts_[flat(s, a, next)];
+  const Successor* c = find(s, a, next);
+  return c != nullptr ? c->count : 0.0;
 }
 
 std::vector<double> Mdp::transition_distribution(std::size_t s,
                                                  std::size_t a) const {
   std::vector<double> dist(state_space_size(), 0.0);
-  const double total = sa_counts_[flat_sa(s, a)];
-  if (total <= 0.0) return dist;
-  for (std::size_t next = 0; next < state_space_size(); ++next) {
-    dist[next] = counts_[flat(s, a, next)] / total;
-  }
+  const PairStats& p = pair(s, a);
+  if (p.count <= 0.0) return dist;
+  for (const Successor& c : p.successors) dist[c.next] = c.count / p.count;
   return dist;
 }
 
 double Mdp::mean_reward(std::size_t s, std::size_t a,
                         std::size_t next) const {
-  const double n = counts_[flat(s, a, next)];
-  return n > 0.0 ? reward_sums_[flat(s, a, next)] / n : 0.0;
+  const Successor* c = find(s, a, next);
+  return c != nullptr && c->count > 0.0 ? c->reward_sum / c->count : 0.0;
 }
 
 double Mdp::mean_reward(std::size_t s, std::size_t a) const {
-  const double n = sa_counts_[flat_sa(s, a)];
-  if (n <= 0.0) return 0.0;
+  const PairStats& p = pair(s, a);
+  if (p.count <= 0.0) return 0.0;
+  // Ascending `next`, as a sum over all 48 successors would run; the
+  // unobserved ones would only add exact zeros.
   double sum = 0.0;
-  for (std::size_t next = 0; next < state_space_size(); ++next) {
-    sum += reward_sums_[flat(s, a, next)];
-  }
-  return sum / n;
+  for (const Successor& c : p.successors) sum += c.reward_sum;
+  return sum / p.count;
 }
 
 std::vector<std::size_t> Mdp::visited_states() const {
@@ -96,15 +108,13 @@ std::vector<std::size_t> Mdp::observed_actions(std::size_t s,
                                                double min_count) const {
   std::vector<std::size_t> out;
   for (std::size_t a = 0; a < action_count_; ++a) {
-    if (sa_counts_[flat_sa(s, a)] >= min_count) out.push_back(a);
+    if (pair(s, a).count >= min_count) out.push_back(a);
   }
   return out;
 }
 
 void Mdp::clear() {
-  std::fill(counts_.begin(), counts_.end(), 0.0);
-  std::fill(reward_sums_.begin(), reward_sums_.end(), 0.0);
-  std::fill(sa_counts_.begin(), sa_counts_.end(), 0.0);
+  std::fill(pairs_.begin(), pairs_.end(), PairStats{});
   std::fill(state_seen_.begin(), state_seen_.end(), 0);
   total_ = 0;
 }

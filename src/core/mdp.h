@@ -66,7 +66,10 @@ struct Observation {
   double reward;            // [0, 1]
 };
 
-/// Dense transition/reward statistics over the (48 x A x 48) space.
+/// Sparse transition/reward statistics over the 48-state space: each
+/// (state, action) pair keeps only the successor states it has actually
+/// been observed to reach, sorted by successor index, so memory grows with
+/// the observations rather than with (48 x A x 48).
 ///
 /// `recency_decay` < 1 turns the statistics into exponentially weighted
 /// windows: each new observation of a (state, action) pair first scales the
@@ -75,9 +78,8 @@ struct Observation {
 /// full) fade once reality changes; 1.0 keeps plain arithmetic statistics.
 ///
 /// `action_count` sizes the action axis: schedulers without budget
-/// learning allocate only the base (syscall x battery) plane — the dense
-/// arrays triple otherwise, which matters at fleet scale. Observations
-/// must stay inside the allocated plane (asserted).
+/// learning use only the base (syscall x battery) plane. Observations
+/// must stay inside that plane (asserted).
 class Mdp {
  public:
   explicit Mdp(double recency_decay = 1.0,
@@ -112,19 +114,27 @@ class Mdp {
   [[nodiscard]] std::size_t action_count() const { return action_count_; }
 
  private:
-  [[nodiscard]] std::size_t flat(std::size_t s, std::size_t a,
-                                 std::size_t next) const {
-    return (s * action_count_ + a) * state_space_size() + next;
+  /// One observed successor of a (state, action) pair; decayed.
+  struct Successor {
+    std::size_t next;
+    double count;
+    double reward_sum;
+  };
+  struct PairStats {
+    double count = 0.0;                // decayed, over all successors
+    std::vector<Successor> successors;  // ascending `next`
+  };
+
+  [[nodiscard]] const PairStats& pair(std::size_t s, std::size_t a) const {
+    return pairs_[s * action_count_ + a];
   }
-  [[nodiscard]] std::size_t flat_sa(std::size_t s, std::size_t a) const {
-    return s * action_count_ + a;
-  }
+  /// The stored successor `next` of (s, a), or nullptr if never observed.
+  [[nodiscard]] const Successor* find(std::size_t s, std::size_t a,
+                                      std::size_t next) const;
 
   double recency_decay_;
   std::size_t action_count_;
-  std::vector<double> counts_;       // (s, a, next), decayed
-  std::vector<double> reward_sums_;  // (s, a, next), decayed
-  std::vector<double> sa_counts_;    // (s, a), decayed
+  std::vector<PairStats> pairs_;  // (s, a)
   std::vector<std::uint8_t> state_seen_;
   std::uint64_t total_ = 0;
 };

@@ -36,8 +36,8 @@ OnlineScheduler::OnlineScheduler(const CapmanConfig& config,
                                  std::uint64_t seed)
     : config_(config),
       rng_(seed),
-      // Without budget learning only the level-kFull plane is reachable;
-      // allocating just that plane keeps fleet-scale memory flat.
+      // Without budget learning only the level-kFull plane is reachable,
+      // so the MDP keeps per-(state, action) slots for just that plane.
       mdp_(config.recency_decay, config.learn_budget
                                      ? decision_action_space_size()
                                      : base_decision_action_space_size()),

@@ -1,10 +1,12 @@
 #include "core/similarity.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
 
 #include "math/emd.h"
@@ -56,11 +58,11 @@ SimilarityStats SimilarityStats::from_snapshot(
 
 namespace {
 
-/// Memo slot for one action pair: the last solved EMD together with the
+/// Memo slot for one class pair: the last solved EMD together with the
 /// exact ground-distance values it was solved under. Reuse requires the
 /// current ground values to compare equal element-for-element, so a hit
-/// returns exactly what the flow solver would — the cache cannot change a
-/// bit of the result, only skip the solve.
+/// returns exactly what the transport solver would — the cache cannot
+/// change a bit of the result, only skip the solve.
 struct EmdCacheEntry {
   std::vector<double> ground;
   double emd = 0.0;
@@ -81,6 +83,65 @@ std::uint64_t ground_signature(const std::vector<double>& ground) {
   return h;
 }
 
+/// Hash of an action vertex's transition support, (to, probability bits)
+/// in edge order — the complete input its EMDs read from the vertex.
+std::uint64_t support_signature(const ActionVertex& v) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ v.transitions.size();
+  for (const TransitionEdge& t : v.transitions) {
+    for (const std::uint64_t word :
+         {static_cast<std::uint64_t>(t.to),
+          std::bit_cast<std::uint64_t>(t.probability)}) {
+      h ^= word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+  }
+  return h;
+}
+
+/// Bit-for-bit equality of two transition supports: the EMD of any pair of
+/// vertices then depends on their classes alone.
+bool same_support(const ActionVertex& a, const ActionVertex& b) {
+  return std::equal(a.transitions.begin(), a.transitions.end(),
+                    b.transitions.begin(), b.transitions.end(),
+                    [](const TransitionEdge& x, const TransitionEdge& y) {
+                      return x.to == y.to &&
+                             std::bit_cast<std::uint64_t>(x.probability) ==
+                                 std::bit_cast<std::uint64_t>(y.probability);
+                    });
+}
+
+struct DistributionClasses {
+  std::vector<std::uint32_t> of;  // action vertex -> class
+  std::size_t count = 0;
+};
+
+/// Distribution classes of the action vertices: with `dedupe`, vertices
+/// with bit-equal supports share a class (numbered in first-occurrence
+/// order); without, every vertex is its own class.
+DistributionClasses distribution_classes(const MdpGraph& graph,
+                                         bool dedupe) {
+  const std::size_t na = graph.action_count();
+  DistributionClasses classes{std::vector<std::uint32_t>(na), 0};
+  // Support hash -> the first vertex of each class with that hash.
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> firsts;
+  for (std::uint32_t a = 0; a < na; ++a) {
+    const ActionVertex& va = graph.action(a);
+    if (dedupe) {
+      std::vector<std::uint32_t>& same_hash = firsts[support_signature(va)];
+      const auto it = std::find_if(
+          same_hash.begin(), same_hash.end(), [&](std::uint32_t first) {
+            return same_support(graph.action(first), va);
+          });
+      if (it != same_hash.end()) {
+        classes.of[a] = classes.of[*it];
+        continue;
+      }
+      same_hash.push_back(a);
+    }
+    classes.of[a] = static_cast<std::uint32_t>(classes.count++);
+  }
+  return classes;
+}
+
 /// Per-worker reusable buffers and counters; workers never share one, so
 /// the hot loop allocates only when a support outgrows its buffer.
 struct WorkerScratch {
@@ -88,7 +149,6 @@ struct WorkerScratch {
   math::Distribution pa;
   math::Distribution pb;
   std::size_t action_computed = 0;
-  std::size_t action_cached = 0;
   std::size_t state_computed = 0;
 };
 
@@ -148,14 +208,28 @@ SimilarityResult compute_structural_similarity(
     }
   }
 
-  // The work lists: every unordered action pair, and every unordered pair
-  // of distinct non-absorbing states (absorbing pairs are base cases).
-  // Fixed up front so sweeps shard over stable indices.
-  PairList action_pairs;
-  action_pairs.reserve(na * (na - 1) / 2);
+  // The work lists. Every unordered action pair a < b needs EMD(p_a, p_b),
+  // which depends only on the ordered pair of their distribution classes,
+  // so the EMD phase solves one representative action pair per class pair
+  // (first occurrence in (a, b) order). The state list holds every
+  // unordered pair of distinct non-absorbing states (absorbing pairs are
+  // base cases). Fixed up front so sweeps shard over stable indices.
+  constexpr std::uint32_t kNoPair = static_cast<std::uint32_t>(-1);
+  const DistributionClasses classes =
+      distribution_classes(graph, config.use_emd_cache);
+  const std::size_t nc = classes.count;
+  std::vector<std::uint32_t> class_pair_of(nc * nc, kNoPair);
+  PairList class_pairs;
   for (std::uint32_t a = 0; a < na; ++a) {
-    for (std::uint32_t b = a + 1; b < na; ++b) action_pairs.push_back({a, b});
+    for (std::uint32_t b = a + 1; b < na; ++b) {
+      std::uint32_t& slot =
+          class_pair_of[classes.of[a] * nc + classes.of[b]];
+      if (slot != kNoPair) continue;
+      slot = static_cast<std::uint32_t>(class_pairs.size());
+      class_pairs.push_back({a, b});
+    }
   }
+  const std::size_t action_pairs = na * (na - 1) / 2;
   PairList state_pairs;
   for (std::uint32_t u = 0; u < nv; ++u) {
     if (graph.state(u).absorbing()) continue;
@@ -182,7 +256,8 @@ SimilarityResult compute_structural_similarity(
   const bool emd_spans = profiler != nullptr && profiler->verbose();
 
   std::vector<EmdCacheEntry> emd_cache;
-  if (config.use_emd_cache) emd_cache.resize(action_pairs.size());
+  if (config.use_emd_cache) emd_cache.resize(class_pairs.size());
+  std::vector<double> class_emd(class_pairs.size());
 
   math::Matrix s_prev;
   math::Matrix a_prev;
@@ -196,14 +271,14 @@ SimilarityResult compute_structural_similarity(
     s_prev = s_mat;
     a_prev = a_mat;
 
-    // Lines 3-5: action similarities from reward distance + EMD. Reads
-    // only s_prev, writes disjoint a_mat cells per pair — safe to shard.
+    // Lines 3-5, EMD half: one EMD per class pair. Reads only s_prev,
+    // writes disjoint class_emd cells per class pair — safe to shard.
     pool.parallel_for(
-        action_pairs.size(),
+        class_pairs.size(),
         [&](std::size_t begin, std::size_t end, std::size_t worker) {
           WorkerScratch& sc = scratch[worker];
           for (std::size_t k = begin; k < end; ++k) {
-            const auto [a, b] = action_pairs[k];
+            const auto [a, b] = class_pairs[k];
             const ActionVertex& va = graph.action(a);
             const ActionVertex& vb = graph.action(b);
 
@@ -220,52 +295,55 @@ SimilarityResult compute_structural_similarity(
               }
             }
 
-            double d_emd = 0.0;
-            bool solved = true;
             if (config.use_emd_cache) {
               EmdCacheEntry& entry = emd_cache[k];
               const std::uint64_t sig = ground_signature(sc.ground);
               if (entry.valid && entry.signature == sig &&
                   entry.ground == sc.ground) {
-                d_emd = entry.emd;
-                solved = false;
-                ++sc.action_cached;
-              } else {
-                entry.signature = sig;
-                entry.ground = sc.ground;
-                entry.valid = true;
+                class_emd[k] = entry.emd;
+                continue;
               }
+              entry.signature = sig;
+              entry.ground = sc.ground;
+              entry.valid = true;
             }
-            if (solved) {
-              sc.pa.mass.clear();
-              sc.pb.mass.clear();
-              for (const auto& t : va.transitions) {
-                sc.pa.mass.push_back(t.probability);
-              }
-              for (const auto& t : vb.transitions) {
-                sc.pb.mass.push_back(t.probability);
-              }
-              const double span_start = emd_spans ? profiler->now_us() : 0.0;
-              d_emd = math::earth_movers_distance(
-                  sc.pa, sc.pb, [&](std::size_t i, std::size_t j) {
-                    return sc.ground[i * tb + j];
-                  });
-              if (emd_spans) {
-                profiler->complete("emd.solve", "math", span_start,
-                                   profiler->now_us() - span_start);
-              }
-              if (config.use_emd_cache) emd_cache[k].emd = d_emd;
-              ++sc.action_computed;
+            sc.pa.mass.clear();
+            sc.pb.mass.clear();
+            for (const auto& t : va.transitions) {
+              sc.pa.mass.push_back(t.probability);
             }
-
-            const double d_rwd = std::abs(rewards[a] - rewards[b]);
-            const double sim = std::clamp(
-                1.0 - (1.0 - config.c_a) * d_rwd - config.c_a * d_emd, 0.0,
-                1.0);
-            a_mat(a, b) = sim;
-            a_mat(b, a) = sim;
+            for (const auto& t : vb.transitions) {
+              sc.pb.mass.push_back(t.probability);
+            }
+            const double span_start = emd_spans ? profiler->now_us() : 0.0;
+            const double d_emd = math::earth_movers_distance(
+                sc.pa, sc.pb, [&](std::size_t i, std::size_t j) {
+                  return sc.ground[i * tb + j];
+                });
+            if (emd_spans) {
+              profiler->complete("emd.solve", "math", span_start,
+                                 profiler->now_us() - span_start);
+            }
+            if (config.use_emd_cache) emd_cache[k].emd = d_emd;
+            class_emd[k] = d_emd;
+            ++sc.action_computed;
           }
         });
+
+    // Lines 3-5, assembly: every action pair combines its own reward
+    // distance with its class pair's EMD. A few flops per pair, so it runs
+    // here on the calling thread rather than as a third dispatch.
+    for (std::size_t a = 0; a < na; ++a) {
+      const std::uint32_t* row = &class_pair_of[classes.of[a] * nc];
+      for (std::size_t b = a + 1; b < na; ++b) {
+        const double d_emd = class_emd[row[classes.of[b]]];
+        const double d_rwd = std::abs(rewards[a] - rewards[b]);
+        const double sim = std::clamp(
+            1.0 - (1.0 - config.c_a) * d_rwd - config.c_a * d_emd, 0.0, 1.0);
+        a_mat(a, b) = sim;
+        a_mat(b, a) = sim;
+      }
+    }
 
     // Lines 6-7: state similarities via Hausdorff over action neighbours.
     // Reads the a_mat just completed above (barrier between the phases),
@@ -292,15 +370,17 @@ SimilarityResult compute_structural_similarity(
         });
 
     SimilarityStats& stats = result.stats;
-    stats.action_pairs_total += action_pairs.size();
-    stats.state_pairs_total += state_pairs.size();
+    std::size_t solved = 0;
     for (WorkerScratch& sc : scratch) {
-      stats.action_pairs_computed += sc.action_computed;
-      stats.action_pairs_cached += sc.action_cached;
+      solved += sc.action_computed;
       stats.state_pairs_computed += sc.state_computed;
-      sc.action_computed = sc.action_cached = 0;
+      sc.action_computed = 0;
       sc.state_computed = 0;
     }
+    stats.action_pairs_total += action_pairs;
+    stats.action_pairs_computed += solved;
+    stats.action_pairs_cached += action_pairs - solved;
+    stats.state_pairs_total += state_pairs.size();
     // capman-lint: allow(determinism)
     const auto iter_end = std::chrono::steady_clock::now();
     const double ms =

@@ -24,11 +24,14 @@
 // across a util::ThreadPool with a barrier between them; every pair is
 // owned by exactly one worker and the convergence reduction runs on the
 // calling thread in a fixed order, making results bit-identical for every
-// thread count. An exact EMD memo (per action pair, verified against the
-// exact ground-distance values before reuse) cuts the per-sweep work once
-// most pairs stop moving. Every mode computes the exact recursion: there
-// is no approximate pair skipping, so the engine knobs below change the
-// work done, never a bit of the result.
+// thread count. Action vertices with bit-equal transition supports (the
+// budget-level copies of an action learn identical transitions) form one
+// distribution class, and a sweep solves one EMD per ordered class pair;
+// an exact memo per class pair (verified against the exact ground-distance
+// values before reuse) cuts the per-sweep work further once most pairs
+// stop moving. Every mode computes the exact recursion: there is no
+// approximate pair skipping, so the engine knobs below change the work
+// done, never a bit of the result.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +54,10 @@ struct SimilarityConfig {
   // Worker threads for the per-sweep pair fan-out; 0 means one per
   // hardware core. Results are bit-identical for every value.
   std::size_t num_threads = 0;
-  // Reuse a pair's last EMD when its exact ground-distance inputs (the
-  // delta_S entries over the two transition supports) are unchanged.
+  // Solve one EMD per pair of distribution classes (action vertices with
+  // bit-equal transition supports), and reuse a class pair's last EMD when
+  // its exact ground-distance inputs (the delta_S entries over the two
+  // supports) are unchanged. Off, every action pair is solved every sweep.
   // Exact: toggling the cache cannot change a single bit of the result.
   bool use_emd_cache = true;
 
@@ -74,8 +79,9 @@ struct SimilarityConfig {
 
 /// Per-solve instrumentation of the similarity engine. Pair counters are
 /// accumulated over all sweeps: every (pair, sweep) visit is classified as
-/// computed (full EMD / Hausdorff) or cached (exact EMD reuse), so
-/// computed + cached == total.
+/// computed (it ran the EMD / Hausdorff solve) or cached (it took an exact
+/// EMD from the memo, or from the solve of another action pair in the same
+/// class pair that sweep), so computed + cached == total.
 struct SimilarityStats {
   std::size_t action_pairs_total = 0;
   std::size_t action_pairs_computed = 0;

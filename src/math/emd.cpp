@@ -28,16 +28,58 @@ double checked_total(const std::vector<double>& mass) {
   return total;
 }
 
+/// The solver's arrays, kept per thread and reused across calls so a solve
+/// allocates only when its support outgrows every earlier one on that
+/// thread. Every array is resized and re-initialised before it is read.
+struct Workspace {
+  std::vector<std::size_t> row_point;
+  std::vector<std::size_t> col_point;
+  std::vector<double> supply;
+  std::vector<double> demand;
+  std::vector<double> cost;
+  std::vector<double> flow;
+  std::vector<double> potential;
+  std::vector<double> dist;
+  std::vector<std::size_t> parent;
+  std::vector<unsigned char> done;
+};
+
+/// Hands out this thread's workspace, or a fresh one when a ground-distance
+/// callback re-enters the solver while the thread's workspace is in use.
+class WorkspaceLease {
+ public:
+  WorkspaceLease() : owner_(!in_use_) { in_use_ = true; }
+  ~WorkspaceLease() {
+    if (owner_) in_use_ = false;
+  }
+  WorkspaceLease(const WorkspaceLease&) = delete;
+  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
+
+  Workspace& get() { return owner_ ? shared_ : own_; }
+
+ private:
+  static thread_local Workspace shared_;
+  static thread_local bool in_use_;
+  bool owner_;
+  Workspace own_;
+};
+
+thread_local Workspace WorkspaceLease::shared_;
+thread_local bool WorkspaceLease::in_use_ = false;
+
 }  // namespace
 
 double earth_movers_distance(const Distribution& p, const Distribution& q,
                              const GroundDistance& d) {
   const double total_p = checked_total(p.mass);
   const double total_q = checked_total(q.mass);
+  WorkspaceLease lease;
+  auto& [row_point, col_point, supply, demand, cost, flow, potential, dist,
+         parent, done] = lease.get();
 
   // Only positive masses take part: rows are p's support, columns q's.
-  std::vector<std::size_t> row_point;
-  std::vector<std::size_t> col_point;
+  row_point.clear();
+  col_point.clear();
   for (std::size_t i = 0; i < p.mass.size(); ++i) {
     if (p.mass[i] > 0.0) row_point.push_back(i);
   }
@@ -47,22 +89,22 @@ double earth_movers_distance(const Distribution& p, const Distribution& q,
   const std::size_t rows = row_point.size();
   const std::size_t cols = col_point.size();
 
-  std::vector<double> supply(rows);
-  std::vector<double> demand(cols);
+  supply.resize(rows);
+  demand.resize(cols);
   for (std::size_t i = 0; i < rows; ++i) {
     supply[i] = p.mass[row_point[i]] / total_p;
   }
   for (std::size_t j = 0; j < cols; ++j) {
     demand[j] = q.mass[col_point[j]] / total_q;
   }
-  std::vector<double> cost(rows * cols);
+  cost.resize(rows * cols);
   for (std::size_t i = 0; i < rows; ++i) {
     for (std::size_t j = 0; j < cols; ++j) {
       cost[i * cols + j] = d(row_point[i], col_point[j]);
       assert(cost[i * cols + j] >= 0.0);
     }
   }
-  std::vector<double> flow(rows * cols, 0.0);
+  flow.assign(rows * cols, 0.0);
 
   // Successive shortest paths on the complete bipartite residual graph.
   // Nodes 0..rows-1 are rows, rows..rows+cols-1 columns. Forward arcs
@@ -72,10 +114,10 @@ double earth_movers_distance(const Distribution& p, const Distribution& q,
   // distance, so their potential stays 0, and a column's true path cost is
   // its reduced distance plus its potential.
   const std::size_t nodes = rows + cols;
-  std::vector<double> potential(nodes, 0.0);
-  std::vector<double> dist(nodes);
-  std::vector<std::size_t> parent(nodes);
-  std::vector<bool> done(nodes);
+  potential.assign(nodes, 0.0);
+  dist.resize(nodes);
+  parent.resize(nodes);
+  done.resize(nodes);
   const auto reduced = [&](std::size_t i, std::size_t j) {
     return cost[i * cols + j] + potential[i] - potential[rows + j];
   };

@@ -4,7 +4,9 @@
 // problem by successive shortest paths on dense np x nq arrays. The
 // supports Algorithm 1 produces are a handful of points per side, so
 // Dijkstra is a linear scan over the np + nq nodes with no heap and no
-// adjacency lists (DESIGN.md §8.3).
+// adjacency lists, and the arrays live in a reused per-thread workspace,
+// so a solve allocates nothing once its thread has seen a support that
+// large (DESIGN.md §8.3).
 #pragma once
 
 #include <cstddef>

@@ -667,9 +667,16 @@ FleetResult FleetRunner::run() const {
     if (resumed[shard] != 0) supervisor.mark_resumed(shard);
   }
 
+  // Every device already runs on a fleet worker, so Algorithm 1 must not
+  // fan out again underneath it: auto similarity threads resolve to one.
+  // Results are bit-identical for every thread count (core/similarity.h).
+  core::CapmanConfig capman = config_.capman;
+  if (capman.similarity_threads == 0) capman.similarity_threads = 1;
+
   // The per-device loop. Every input below is a pure function of
   // (config, device id); workers touch only the shard states they own.
-  auto run_device = [this](std::uint64_t device_id, bool first_attempt) {
+  auto run_device = [this, &capman](std::uint64_t device_id,
+                                    bool first_attempt) {
     const DeviceSpec spec =
         sample_device(config_.population, config_.seed, device_id);
 
@@ -715,7 +722,7 @@ FleetResult FleetRunner::run() const {
 
     const ExperimentRunner runner{
         std::move(phone),
-        {device_config, spec.seed, std::nullopt, config_.capman}};
+        {device_config, spec.seed, std::nullopt, capman}};
     std::vector<SimResult> results;
     results.reserve(config_.policies.size());
     for (const PolicyKind kind : config_.policies) {

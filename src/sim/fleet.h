@@ -159,7 +159,11 @@ struct FleetConfig {
 
   PopulationSpec population{};
   SimConfig base{};            // per-device engine parameters
-  core::CapmanConfig capman{}; // learning knobs for PolicyKind::kCapman
+  // Learning knobs for PolicyKind::kCapman. Devices already run on the
+  // fleet's workers, so similarity_threads == 0 (auto) resolves to 1 per
+  // device instead of a one-thread-per-core pool nested in every worker;
+  // an explicit count is kept. Never affects results, only wall clock.
+  core::CapmanConfig capman{};
   // Relative-error bound of the per-policy percentile sketches.
   double sketch_relative_error = 0.01;
 

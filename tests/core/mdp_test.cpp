@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/state.h"
+#include "util/rng.h"
 
 namespace capman::core {
 namespace {
@@ -145,6 +150,161 @@ TEST(Mdp, ClearResetsEverything) {
   mdp.clear();
   EXPECT_EQ(mdp.total_observations(), 0u);
   EXPECT_TRUE(mdp.visited_states().empty());
+}
+
+// The dense (48 x A x 48) statistics Mdp kept before it went sparse, as
+// the reference the sparse store must reproduce bit for bit.
+class DenseMdp {
+ public:
+  DenseMdp(double decay, std::size_t actions)
+      : decay_(decay),
+        actions_(actions),
+        counts_(state_space_size() * actions * state_space_size(), 0.0),
+        reward_sums_(counts_.size(), 0.0),
+        sa_counts_(state_space_size() * actions, 0.0),
+        seen_(state_space_size(), 0) {}
+
+  void observe(const Observation& obs) {
+    const std::size_t a = obs.action.index();
+    if (decay_ < 1.0) {
+      for (std::size_t next = 0; next < state_space_size(); ++next) {
+        counts_[flat(obs.state, a, next)] *= decay_;
+        reward_sums_[flat(obs.state, a, next)] *= decay_;
+      }
+      sa_counts_[obs.state * actions_ + a] *= decay_;
+    }
+    counts_[flat(obs.state, a, obs.next_state)] += 1.0;
+    reward_sums_[flat(obs.state, a, obs.next_state)] += obs.reward;
+    sa_counts_[obs.state * actions_ + a] += 1.0;
+    seen_[obs.state] = 1;
+    seen_[obs.next_state] = 1;
+  }
+  double count(std::size_t s, std::size_t a) const {
+    return sa_counts_[s * actions_ + a];
+  }
+  double count(std::size_t s, std::size_t a, std::size_t next) const {
+    return counts_[flat(s, a, next)];
+  }
+  std::vector<double> transition_distribution(std::size_t s,
+                                              std::size_t a) const {
+    std::vector<double> dist(state_space_size(), 0.0);
+    const double total = count(s, a);
+    if (total <= 0.0) return dist;
+    for (std::size_t next = 0; next < state_space_size(); ++next) {
+      dist[next] = counts_[flat(s, a, next)] / total;
+    }
+    return dist;
+  }
+  double mean_reward(std::size_t s, std::size_t a, std::size_t next) const {
+    const double n = counts_[flat(s, a, next)];
+    return n > 0.0 ? reward_sums_[flat(s, a, next)] / n : 0.0;
+  }
+  double mean_reward(std::size_t s, std::size_t a) const {
+    const double n = count(s, a);
+    if (n <= 0.0) return 0.0;
+    double sum = 0.0;
+    for (std::size_t next = 0; next < state_space_size(); ++next) {
+      sum += reward_sums_[flat(s, a, next)];
+    }
+    return sum / n;
+  }
+  std::vector<std::size_t> visited_states() const {
+    std::vector<std::size_t> out;
+    for (std::size_t s = 0; s < state_space_size(); ++s) {
+      if (seen_[s] != 0) out.push_back(s);
+    }
+    return out;
+  }
+  std::vector<std::size_t> observed_actions(std::size_t s,
+                                            double min_count) const {
+    std::vector<std::size_t> out;
+    for (std::size_t a = 0; a < actions_; ++a) {
+      if (count(s, a) >= min_count) out.push_back(a);
+    }
+    return out;
+  }
+  void clear() {
+    std::fill(counts_.begin(), counts_.end(), 0.0);
+    std::fill(reward_sums_.begin(), reward_sums_.end(), 0.0);
+    std::fill(sa_counts_.begin(), sa_counts_.end(), 0.0);
+    std::fill(seen_.begin(), seen_.end(), 0);
+  }
+
+ private:
+  std::size_t flat(std::size_t s, std::size_t a, std::size_t next) const {
+    return (s * actions_ + a) * state_space_size() + next;
+  }
+  double decay_;
+  std::size_t actions_;
+  std::vector<double> counts_;
+  std::vector<double> reward_sums_;
+  std::vector<double> sa_counts_;
+  std::vector<std::uint8_t> seen_;
+};
+
+void expect_same_statistics(const Mdp& sparse, const DenseMdp& dense,
+                            std::size_t actions) {
+  EXPECT_EQ(sparse.visited_states(), dense.visited_states());
+  for (std::size_t s = 0; s < state_space_size(); ++s) {
+    for (const double min_count : {0.1, 0.5, 1.0, 2.0, 5.0}) {
+      EXPECT_EQ(sparse.observed_actions(s, min_count),
+                dense.observed_actions(s, min_count));
+    }
+    for (std::size_t a = 0; a < actions; ++a) {
+      ASSERT_EQ(sparse.count(s, a), dense.count(s, a)) << s << "/" << a;
+      EXPECT_EQ(sparse.mean_reward(s, a), dense.mean_reward(s, a));
+      EXPECT_EQ(sparse.transition_distribution(s, a),
+                dense.transition_distribution(s, a));
+      for (std::size_t next = 0; next < state_space_size(); ++next) {
+        ASSERT_EQ(sparse.count(s, a, next), dense.count(s, a, next));
+        ASSERT_EQ(sparse.mean_reward(s, a, next),
+                  dense.mean_reward(s, a, next));
+      }
+    }
+  }
+}
+
+TEST(Mdp, SparseStatisticsMatchDenseReference) {
+  for (const std::size_t actions :
+       {base_decision_action_space_size(), decision_action_space_size()}) {
+    for (const double decay : {0.93, 1.0}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "actions " << actions << ", decay " << decay);
+      util::Rng rng{static_cast<std::uint64_t>(actions) * 31 +
+                    (decay < 1.0 ? 1 : 0)};
+      // A few hot actions spread over the plane (its last index included)
+      // so pairs repeat, decay runs over many stored successors and most
+      // cells stay empty, as in a learned MDP.
+      std::vector<std::size_t> hot{0, actions - 1};
+      while (hot.size() < 24) hot.push_back(rng.uniform_index(actions));
+      const auto feed = [&](Mdp& sparse, DenseMdp& dense, int n) {
+        for (int i = 0; i < n; ++i) {
+          Observation obs;
+          obs.state = rng.uniform_index(state_space_size());
+          obs.action =
+              DecisionAction::from_index(hot[rng.uniform_index(hot.size())]);
+          obs.next_state = rng.chance(0.8) ? rng.uniform_index(6)
+                                           : rng.uniform_index(
+                                                 state_space_size());
+          obs.reward = rng.uniform();
+          sparse.observe(obs);
+          dense.observe(obs);
+        }
+      };
+      Mdp sparse{decay, actions};
+      DenseMdp dense{decay, actions};
+      feed(sparse, dense, 20000);
+      EXPECT_EQ(sparse.total_observations(), 20000u);
+      expect_same_statistics(sparse, dense, actions);
+
+      sparse.clear();
+      dense.clear();
+      EXPECT_EQ(sparse.total_observations(), 0u);
+      expect_same_statistics(sparse, dense, actions);
+      feed(sparse, dense, 2000);
+      expect_same_statistics(sparse, dense, actions);
+    }
+  }
 }
 
 TEST(Mdp, BigLittleActionsAreDistinct) {

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+#include <utility>
+
 #include "graph_test_util.h"
 
 namespace capman::core {
@@ -99,6 +103,112 @@ TEST(SimilarityParallel, StatsCountersAreConsistent) {
         EXPECT_EQ(result.stats.action_pairs_cached, 0u);
       }
     }
+  }
+}
+
+// Budget-style graph: every action comes as a triple of vertices with the
+// same (to, probability) list and different rewards, like the budget-level
+// copies of one learned action. Each triple also gets two near misses that
+// must not join its class: the same targets with other probabilities, and
+// the same probabilities with one target moved.
+MdpGraph triple_graph(util::Rng& rng, std::size_t n_states,
+                      std::size_t n_absorbing) {
+  std::vector<StateVertex> states(n_states);
+  std::vector<ActionVertex> actions;
+  for (std::size_t s = 0; s < n_states; ++s) {
+    states[s].state_id = s;
+    if (s + n_absorbing >= n_states) continue;
+    const std::size_t n_act = 1 + rng.uniform_index(2);
+    for (std::size_t a = 0; a < n_act; ++a) {
+      ActionVertex base;
+      base.source = s;
+      base.action_id = 0;
+      const std::size_t fanout = 2 + rng.uniform_index(2);
+      double total = 0.0;
+      for (std::size_t t = 0; t < fanout; ++t) {
+        base.transitions.push_back(
+            {rng.uniform_index(n_states), rng.uniform(0.1, 1.0), 0.0});
+        total += base.transitions.back().probability;
+      }
+      for (auto& e : base.transitions) e.probability /= total;
+      ActionVertex reweighted = base;
+      std::swap(reweighted.transitions.front().probability,
+                reweighted.transitions.back().probability);
+      ActionVertex retargeted = base;
+      retargeted.transitions.back().to =
+          (retargeted.transitions.back().to + 1) % n_states;
+      for (int copy = 0; copy < 5; ++copy) {
+        ActionVertex av = copy < 3 ? base : copy == 3 ? reweighted : retargeted;
+        av.action_id = actions.size() % decision_action_space_size();
+        for (auto& e : av.transitions) e.reward = rng.uniform();
+        states[s].actions.push_back(actions.size());
+        actions.push_back(std::move(av));
+      }
+    }
+  }
+  return MdpGraph::from_parts(std::move(states), std::move(actions));
+}
+
+TEST(SimilarityParallel, DuplicateDistributionsSolveOncePerSweep) {
+  util::Rng rng{95};
+  const auto graph = triple_graph(rng, 16, 4);
+  const std::size_t na = graph.action_count();
+
+  // Distinct ordered (class(a), class(b)) pairs over a < b, with classes
+  // found here by direct comparison of the transition lists.
+  std::vector<std::size_t> class_of(na);
+  std::vector<std::size_t> reps;
+  const auto same = [&graph](std::size_t x, std::size_t y) {
+    const auto& tx = graph.action(x).transitions;
+    const auto& ty = graph.action(y).transitions;
+    if (tx.size() != ty.size()) return false;
+    for (std::size_t i = 0; i < tx.size(); ++i) {
+      if (tx[i].to != ty[i].to) return false;
+      if (std::memcmp(&tx[i].probability, &ty[i].probability,
+                      sizeof(double)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (std::size_t a = 0; a < na; ++a) {
+    std::size_t c = 0;
+    while (c < reps.size() && !same(reps[c], a)) ++c;
+    if (c == reps.size()) reps.push_back(a);
+    class_of[a] = c;
+  }
+  ASSERT_LT(reps.size(), na);
+  std::set<std::pair<std::size_t, std::size_t>> class_pairs;
+  for (std::size_t a = 0; a < na; ++a) {
+    for (std::size_t b = a + 1; b < na; ++b) {
+      class_pairs.insert({class_of[a], class_of[b]});
+    }
+  }
+
+  SimilarityConfig cfg = base_config();
+  const auto reference = compute_structural_similarity(graph, cfg);
+  for (const std::size_t threads : {1, 4}) {
+    cfg.num_threads = threads;
+    cfg.use_emd_cache = false;
+    expect_bit_identical(reference, compute_structural_similarity(graph, cfg));
+    cfg.use_emd_cache = true;
+    const auto deduped = compute_structural_similarity(graph, cfg);
+    expect_bit_identical(reference, deduped);
+    EXPECT_TRUE(deduped.stats.consistent());
+    EXPECT_LE(deduped.stats.action_pairs_computed,
+              deduped.iterations * class_pairs.size());
+    EXPECT_EQ(deduped.stats.action_pairs_total,
+              deduped.iterations * na * (na - 1) / 2);
+  }
+
+  // The first sweep has nothing memoized: it solves exactly one EMD per
+  // class pair with the cache on, and every action pair with it off.
+  cfg.max_iterations = 1;
+  for (const bool cache : {false, true}) {
+    cfg.use_emd_cache = cache;
+    const auto one = compute_structural_similarity(graph, cfg);
+    EXPECT_EQ(one.stats.action_pairs_computed,
+              cache ? class_pairs.size() : na * (na - 1) / 2);
   }
 }
 

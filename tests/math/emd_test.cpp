@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "math/emd.h"
@@ -149,6 +150,87 @@ TEST(Emd, SinglePointSupportHasOnePlan) {
                     [&](std::size_t i, std::size_t) { return cost[i]; }),
                 expected, 1e-14);
   }
+}
+
+// The solver reuses a per-thread workspace across calls. Whatever ran on
+// the thread before — larger or smaller supports, zero masses — a solve
+// must return exactly what the first solve on a fresh thread returns.
+TEST(Emd, WorkspaceReuseIsExact) {
+  struct Problem {
+    Distribution p;
+    Distribution q;
+    std::vector<double> cost;  // row-major |p| x |q|
+  };
+  util::Rng rng{4242};
+  // A prime count, so every stride below walks all of them.
+  std::vector<Problem> problems;
+  for (int k = 0; k < 47; ++k) {
+    Problem pr;
+    const std::size_t np = 1 + rng.uniform_index(8);
+    const std::size_t nq = 1 + rng.uniform_index(8);
+    for (std::size_t i = 0; i < np; ++i) {
+      pr.p.mass.push_back(i > 0 && rng.chance(0.2) ? 0.0 : rng.uniform());
+    }
+    for (std::size_t j = 0; j < nq; ++j) {
+      pr.q.mass.push_back(j > 0 && rng.chance(0.2) ? 0.0 : rng.uniform());
+    }
+    for (std::size_t c = 0; c < np * nq; ++c) {
+      pr.cost.push_back(rng.chance(0.1) ? 0.0 : rng.uniform());
+    }
+    problems.push_back(std::move(pr));
+  }
+  const auto solve = [&problems](std::size_t k) {
+    const Problem& pr = problems[k];
+    const std::size_t nq = pr.q.mass.size();
+    return earth_movers_distance(
+        pr.p, pr.q,
+        [&pr, nq](std::size_t i, std::size_t j) { return pr.cost[i * nq + j]; });
+  };
+
+  std::vector<double> fresh(problems.size());
+  for (std::size_t k = 0; k < problems.size(); ++k) {
+    std::thread([&fresh, &solve, k] { fresh[k] = solve(k); }).join();
+  }
+
+  // One thread, every problem twice in an interleaved order.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t n = 0; n < problems.size(); ++n) {
+      const std::size_t k = (n * 7 + static_cast<std::size_t>(pass)) %
+                            problems.size();
+      EXPECT_EQ(solve(k), fresh[k]) << "problem " << k;
+    }
+  }
+
+  // Four threads, each walking the problems in its own order.
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<double>> got(kThreads,
+                                       std::vector<double>(problems.size()));
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t n = 0; n < problems.size(); ++n) {
+        const std::size_t k = (n * (2 * t + 5) + t) % problems.size();
+        got[t][k] = solve(k);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < problems.size(); ++k) {
+      EXPECT_EQ(got[t][k], fresh[k]) << "thread " << t << ", problem " << k;
+    }
+  }
+
+  // A ground distance that itself solves an EMD must not disturb the
+  // outer solve's workspace.
+  const Problem& outer = problems[0];
+  const std::size_t nq = outer.q.mass.size();
+  const double nested = earth_movers_distance(
+      outer.p, outer.q, [&](std::size_t i, std::size_t j) {
+        EXPECT_EQ(solve(problems.size() - 1), fresh.back());
+        return outer.cost[i * nq + j];
+      });
+  EXPECT_EQ(nested, fresh[0]);
 }
 
 TEST(Emd, IdenticalDistributionsZero) {

@@ -325,6 +325,25 @@ TEST(FleetRunner, BudgetEnabledStaysBitIdenticalAcrossThreads) {
   EXPECT_EQ(r1.total_engine_steps, r4.total_engine_steps);
 }
 
+// Algorithm 1's own thread count is an engine knob like the fleet's: auto
+// (0, resolved to 1 under the fleet) and explicit counts give the same
+// bytes.
+TEST(FleetRunner, SimilarityThreadsDoNotChangeTheSnapshot) {
+  FleetConfig base = small_fleet(4, 2, 2);
+  base.policies = {PolicyKind::kCapman};
+  std::string reference;
+  for (const std::size_t threads : {0u, 1u, 3u}) {
+    FleetConfig config = base;
+    config.capman.similarity_threads = threads;
+    const std::string json = snapshot_json(FleetRunner{config}.run().metrics);
+    if (reference.empty()) {
+      reference = json;
+    } else {
+      EXPECT_EQ(json, reference) << "similarity_threads = " << threads;
+    }
+  }
+}
+
 // Health monitoring reduces per-device alert counts into the policy
 // aggregates by exact integer folds in shard order, so the PR-8 contract
 // holds: thread count changes nothing observable, including alert counts.
