@@ -10,24 +10,33 @@
 // and reports median wall time per configuration plus the overhead
 // relative to the disabled baseline. The budget the observability layer
 // is held to is <5% for configurations 2 and 5 (ScopedSpan is one relaxed
-// atomic load when disabled; decision records are only assembled when a
-// sink is attached; serialisation goes through std::to_chars into a
-// drain buffer, never per-field operator<<; the sampler/recorder/monitor
-// run on the sim clock behind null-pointer guards).
+// atomic load when disabled; decision events are only assembled when a
+// decision sink is on, step samples only on a sink's tick; serialisation
+// goes through std::to_chars into a drain buffer, never per-field
+// operator<<; the sampler/recorder/monitor run on the sim clock).
 //
 // Wall-clock numbers are machine-dependent; the binary prints PASS/WARN
 // against the 5% budget rather than asserting, so CI noise cannot turn a
-// slow container into a build failure. --smoke flips that: fewer repeats,
-// min-over-repeats overhead (robust to one-sided noise), and a hard exit
-// code for the obs_overhead_smoke CTest gate (77 = skip on starved
-// machines). --csv writes the per-repeat samples to
-// bench_obs_overhead.csv; --json writes BENCH_obs_overhead.json.
+// slow container into a build failure. --smoke runs fewer repeats and adds
+// a min-over-repeats verdict line ("SMOKE PASS" / "SMOKE WARN", robust to
+// one-sided noise) that scripts/check_all.sh reports as advisory.
+//
+// What is gated is deterministic: per configuration, the work each sink
+// did — decision records and JSONL bytes, sampler rows, flight events
+// recorded, health evaluations. --json writes them (plus the overhead
+// percentages, never gated) to BENCH_obs_overhead.json, which the
+// obs_overhead_smoke CTest gate diffs exactly against
+// bench/baselines/obs_overhead.json via scripts/check_bench_regress.py.
+// Span counts stay out: worker spans depend on the core count.
+// --csv writes the per-repeat samples to bench_obs_overhead.csv.
 #include "bench_common.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <thread>
+#include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "workload/generators.h"
 
@@ -35,12 +44,46 @@ using namespace capman;
 
 namespace {
 
+/// Deterministic work of one run's sinks, read back off its output files
+/// (0 for a sink the configuration leaves off).
+struct SinkWork {
+  std::uint64_t decision_records = 0;
+  std::uint64_t jsonl_bytes = 0;
+  std::uint64_t sampler_rows = 0;
+  std::uint64_t flight_events = 0;
+  std::uint64_t health_evaluations = 0;
+};
+
 struct Sample {
   std::string config;
   double wall_ms = 0.0;
   std::size_t trace_events = 0;
   std::uint64_t decisions = 0;
+  SinkWork work;
 };
+
+std::uint64_t count_lines(const std::string& path) {
+  std::ifstream in{path};
+  std::uint64_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  return lines;
+}
+
+/// Events the flight recorder sequenced: every record carries its run-wide
+/// seq, and with dump_at_end the newest event always lands in a dump, so
+/// the largest seq + 1 is the recorder's event count.
+std::uint64_t flight_events(const std::string& path) {
+  std::ifstream in{path};
+  std::uint64_t events = 0;
+  const std::string key = "\"seq\":";
+  for (std::string line; std::getline(in, line);) {
+    const auto at = line.find(key);
+    if (at == std::string::npos) continue;
+    events = std::max<std::uint64_t>(
+        events, std::stoull(line.substr(at + key.size())) + 1);
+  }
+  return events;
+}
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -65,11 +108,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string{argv[i]} == "--smoke") smoke = true;
   }
-  if (smoke && std::thread::hardware_concurrency() < 2) {
-    std::cout << "SKIP: <2 hardware threads; overhead numbers would be "
-                 "scheduler noise\n";
-    return 77;
-  }
 
   const device::PhoneModel phone{device::nexus_profile()};
   const auto trace =
@@ -78,27 +116,31 @@ int main(int argc, char** argv) {
   const int repeats = smoke ? 5 : 7;
   struct Config {
     const char* name;
+    const char* slug;  // artifact key prefix
     bool decisions;
     bool spans;
     bool verbose;
     bool time_dim;  // sampler + flight recorder + health monitor
   };
   const std::vector<Config> configs = {
-      {"disabled", false, false, false, false},
-      {"decisions", true, false, false, false},
-      {"decisions+spans", true, true, false, false},
-      {"decisions+spans+verbose", true, true, true, false},
-      {"sampler+recorder+health", false, false, false, true},
+      {"disabled", "disabled", false, false, false, false},
+      {"decisions", "decisions", true, false, false, false},
+      {"decisions+spans", "decisions_spans", true, true, false, false},
+      {"decisions+spans+verbose", "decisions_spans_verbose", true, true, true,
+       false},
+      {"sampler+recorder+health", "time_dim", false, false, false, true},
   };
 
+  const std::string decisions_path = "bench_obs_overhead_decisions.jsonl";
+  const std::string samples_path = "bench_obs_overhead_samples.csv";
+  const std::string flight_path = "bench_obs_overhead_flight.jsonl";
   const auto run_config = [&](const Config& cfg) {
     sim::RunnerOptions options;
     options.seed = seed;
     // Real file sinks so the measurement includes serialisation and
     // flush, not just in-memory buffering.
     if (cfg.decisions) {
-      options.config.telemetry.decision_trace_path =
-          "bench_obs_overhead_decisions.jsonl";
+      options.config.telemetry.decision_trace_path = decisions_path;
     }
     if (cfg.spans) {
       options.config.telemetry.spans_path = "bench_obs_overhead_spans.json";
@@ -106,11 +148,9 @@ int main(int argc, char** argv) {
     }
     if (cfg.time_dim) {
       options.config.telemetry.sampler.enabled = true;
-      options.config.telemetry.sampler.csv_path =
-          "bench_obs_overhead_samples.csv";
+      options.config.telemetry.sampler.csv_path = samples_path;
       options.config.telemetry.recorder.enabled = true;
-      options.config.telemetry.recorder.dump_path =
-          "bench_obs_overhead_flight.jsonl";
+      options.config.telemetry.recorder.dump_path = flight_path;
       options.config.telemetry.recorder.dump_at_end = true;
       options.config.telemetry.health.enabled = true;
     }
@@ -120,10 +160,20 @@ int main(int argc, char** argv) {
     const auto stop = std::chrono::steady_clock::now();
     const double wall_ms =
         std::chrono::duration<double, std::milli>(stop - start).count();
+    SinkWork work;
+    if (cfg.decisions) {
+      work.decision_records = count_lines(decisions_path);
+      work.jsonl_bytes = std::filesystem::file_size(decisions_path);
+    }
+    if (cfg.time_dim) {
+      work.sampler_rows = count_lines(samples_path) - 1;  // header
+      work.flight_events = flight_events(flight_path);
+    }
+    work.health_evaluations = r.health.evaluations;
     return Sample{cfg.name, wall_ms,
                   static_cast<std::size_t>(
                       r.metrics.counter_or("engine/trace_events", 0)),
-                  r.metrics.counter_or("engine/consults", 0)};
+                  r.metrics.counter_or("engine/consults", 0), work};
   };
 
   run_config(configs[0]);  // unmeasured warm-up (cold caches, page-in)
@@ -144,9 +194,9 @@ int main(int argc, char** argv) {
   medians.reserve(configs.size());
   for (const auto& w : walls) medians.push_back(median(w));
   std::remove("bench_obs_overhead_spans.json");
-  std::remove("bench_obs_overhead_decisions.jsonl");
-  std::remove("bench_obs_overhead_samples.csv");
-  std::remove("bench_obs_overhead_flight.jsonl");
+  std::remove(decisions_path.c_str());
+  std::remove(samples_path.c_str());
+  std::remove(flight_path.c_str());
 
   util::print_section(std::cout, "Observability overhead (" + trace.name() +
                                      ", median of " +
@@ -196,28 +246,43 @@ int main(int argc, char** argv) {
   }
   if (json) {
     // Wall times are machine noise; the artifact carries the deterministic
-    // headline counts plus the overhead percentages (tolerance-gated only).
+    // sink work per configuration (gated exactly) plus the overhead
+    // percentages (NOISY, reported only). Every repeat does the same
+    // work, so the final round's samples stand for all of them.
     bench::BenchJson artifact{"obs_overhead", seed};
     artifact.metric("decisions", static_cast<double>(samples.back().decisions));
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const SinkWork& work = samples[(repeats - 1) * configs.size() + i].work;
+      const std::string slug = std::string(configs[i].slug) + ".";
+      artifact.metric(slug + "decision_records",
+                      static_cast<double>(work.decision_records));
+      artifact.metric(slug + "jsonl_bytes",
+                      static_cast<double>(work.jsonl_bytes));
+      artifact.metric(slug + "sampler_rows",
+                      static_cast<double>(work.sampler_rows));
+      artifact.metric(slug + "flight_events",
+                      static_cast<double>(work.flight_events));
+      artifact.metric(slug + "health_evaluations",
+                      static_cast<double>(work.health_evaluations));
+    }
     artifact.metric("overhead_decisions_pct", decisions_pct);
     artifact.metric("overhead_time_dim_pct", time_dim_pct);
     artifact.write_file();
   }
 
   if (smoke) {
-    // Gate on min-over-repeats: the minimum is the least noise-inflated
-    // estimate of true cost on a time-shared machine.
-    const double gate_decisions = overhead_pct(minimum(walls[0]),
-                                               minimum(walls[1]));
-    const double gate_time_dim = overhead_pct(minimum(walls[0]),
-                                              minimum(walls[4]));
-    const bool gate_ok = gate_decisions < 5.0 && gate_time_dim < 5.0;
-    std::cout << (gate_ok ? "SMOKE PASS" : "SMOKE FAIL")
+    // Min-over-repeats is the least noise-inflated estimate of true cost
+    // on a time-shared machine — still wall clock, so advisory only.
+    const double min_decisions = overhead_pct(minimum(walls[0]),
+                                              minimum(walls[1]));
+    const double min_time_dim = overhead_pct(minimum(walls[0]),
+                                             minimum(walls[4]));
+    const bool within = min_decisions < 5.0 && min_time_dim < 5.0;
+    std::cout << (within ? "SMOKE PASS" : "SMOKE WARN")
               << ": min-over-repeats overhead decisions="
-              << util::TextTable::format(gate_decisions, 2)
-              << "% time-dim=" << util::TextTable::format(gate_time_dim, 2)
-              << "% (budget 5%)\n";
-    return gate_ok ? 0 : 1;
+              << util::TextTable::format(min_decisions, 2)
+              << "% time-dim=" << util::TextTable::format(min_time_dim, 2)
+              << "% (budget 5%, advisory)\n";
   }
   return 0;  // the budget check warns rather than fails (CI noise)
 }

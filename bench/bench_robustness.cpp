@@ -2,8 +2,7 @@
 // switch board misbehaves (sim/faults.h). Sweeps the stuck-comparator
 // episode rate across CAPMAN / Dual / Heuristic and reports service time
 // against the fault-free baseline plus the fault and degradation telemetry
-// read back off the run's metrics snapshot (SimResult::metrics, via
-// FaultStats::from_snapshot). A final full-chaos row turns every fault
+// the run collected (SimResult::faults). A final full-chaos row turns every fault
 // knob on at once for CAPMAN. --csv additionally writes the sweep rows to
 // bench_robustness.csv; --json writes the BENCH_robustness.json headline
 // artifact diffed against bench/baselines/robustness.json by
@@ -68,13 +67,12 @@ int main(int argc, char** argv) {
                      "stuck_s", "dropped_requests", "detected", "fallbacks",
                      "retries"});
   }
-  // Fault columns come off the registry snapshot every run carries
-  // (SimResult::metrics) — FaultStats is a view over it, not separate
-  // bookkeeping, and this bench exercises that read path.
+  // Fault columns come off SimResult::faults, the stats the engine also
+  // publishes under faults/* in the registry.
   const auto report = [&](const std::string& scenario, const std::string& rate,
                           const char* policy, const sim::SimResult& r,
                           double baseline_s) {
-    const auto faults = sim::FaultStats::from_snapshot(r.metrics);
+    const sim::FaultStats& faults = r.faults;
     const double vs = sim::improvement_pct(r.service_time_s, baseline_s);
     table.add_row(scenario,
                   {r.service_time_s / 60.0, vs, faults.stuck_time_s,
@@ -117,7 +115,7 @@ int main(int argc, char** argv) {
              baseline_service[i]);
       if (rate == 1.0) {
         const std::string policy = sim::to_string(kind);
-        const auto faults = sim::FaultStats::from_snapshot(r.metrics);
+        const sim::FaultStats& faults = r.faults;
         artifact.metric(policy + "_service_s_rate1", r.service_time_s);
         artifact.metric(policy + "_stuck_s_rate1", faults.stuck_time_s);
         if (kind == sim::PolicyKind::kCapman) {
@@ -153,7 +151,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   if (json) {
-    const auto chaos_faults = sim::FaultStats::from_snapshot(rc.metrics);
+    const sim::FaultStats& chaos_faults = rc.faults;
     artifact.metric("capman_service_s_chaos", rc.service_time_s);
     artifact.metric("capman_dropped_chaos",
                     static_cast<double>(chaos_faults.dropped_requests));

@@ -137,7 +137,7 @@ DETERMINISM_BANNED = [
 # A function body counts as "output-writing" for L2 when it touches any of
 # these: the run artifact struct, the obs sinks, or file/CSV/JSON emission.
 OUTPUT_MARKERS = re.compile(
-    r"\b(SimResult|DecisionSink|DecisionRecord|MetricsSnapshot|CsvWriter|"
+    r"\b(SimResult|DecisionSink|DecisionEvent|MetricsSnapshot|CsvWriter|"
     r"write_row|append_line|to_json|write_json|jsonl|ofstream|fprintf|"
     r"snapshot\s*\()")
 SORT_MARKERS = re.compile(r"\b(std::)?(stable_)?sort\b|\bsorted_\w*\b")

@@ -29,18 +29,6 @@ void DegradationStats::publish(obs::MetricsRegistry& registry) const {
   registry.gauge("guard/in_fallback").set(in_fallback ? 1.0 : 0.0);
 }
 
-DegradationStats DegradationStats::from_snapshot(
-    const obs::MetricsSnapshot& snap) {
-  DegradationStats stats;
-  stats.failures_detected = snap.counter_or("guard/failures_detected");
-  stats.fallback_episodes = snap.counter_or("guard/fallback_episodes");
-  stats.retries = snap.counter_or("guard/retries");
-  // The gauge encodes a bool as exactly 0.0 or 1.0; exact compare is the
-  // correct decoding.  capman-lint: allow(float-compare)
-  stats.in_fallback = snap.gauge_or("guard/in_fallback") != 0.0;
-  return stats;
-}
-
 DegradationGuard::DegradationGuard(const DegradationConfig& config)
     : config_(config) {
   if (!config_.enabled) return;  // disabled guard never reads its knobs

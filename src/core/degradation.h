@@ -59,8 +59,6 @@ struct DegradationStats {
   /// Publish the counters into `registry` under guard/*. Cumulative over a
   /// run; publish once when the run is over (the engine does).
   void publish(obs::MetricsRegistry& registry) const;
-  /// View over a registry snapshot (inverse of publish).
-  static DegradationStats from_snapshot(const obs::MetricsSnapshot& snap);
 };
 
 class DegradationGuard {

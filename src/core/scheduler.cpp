@@ -23,15 +23,6 @@ void DecisionStats::publish(obs::MetricsRegistry& registry) const {
   registry.counter("scheduler/decisions_explored").add(explored);
 }
 
-DecisionStats DecisionStats::from_snapshot(const obs::MetricsSnapshot& snap) {
-  DecisionStats stats;
-  stats.exact = snap.counter_or("scheduler/decisions_exact");
-  stats.transferred = snap.counter_or("scheduler/decisions_transferred");
-  stats.fallback = snap.counter_or("scheduler/decisions_fallback");
-  stats.explored = snap.counter_or("scheduler/decisions_explored");
-  return stats;
-}
-
 OnlineScheduler::OnlineScheduler(const CapmanConfig& config,
                                  std::uint64_t seed)
     : config_(config),

@@ -65,8 +65,6 @@ struct DecisionStats {
   /// The struct is cumulative over a run, so publish once, when the run
   /// is over (the engine does) — not per decision.
   void publish(obs::MetricsRegistry& registry) const;
-  /// View over a registry snapshot (inverse of publish).
-  static DecisionStats from_snapshot(const obs::MetricsSnapshot& snap);
 };
 
 class OnlineScheduler : public obs::Instrumented {

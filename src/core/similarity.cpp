@@ -40,22 +40,6 @@ void SimilarityStats::publish(obs::MetricsRegistry& registry) const {
   registry.gauge("similarity/threads").set(static_cast<double>(threads_used));
 }
 
-SimilarityStats SimilarityStats::from_snapshot(
-    const obs::MetricsSnapshot& snap) {
-  SimilarityStats stats;
-  stats.action_pairs_total = snap.counter_or("similarity/action_pairs_total");
-  stats.action_pairs_computed =
-      snap.counter_or("similarity/action_pairs_computed");
-  stats.action_pairs_cached = snap.counter_or("similarity/action_pairs_cached");
-  stats.state_pairs_total = snap.counter_or("similarity/state_pairs_total");
-  stats.state_pairs_computed =
-      snap.counter_or("similarity/state_pairs_computed");
-  stats.threads_used =
-      static_cast<std::size_t>(snap.gauge_or("similarity/threads", 1.0));
-  stats.total_ms = snap.gauge_or("similarity/total_ms", 0.0);
-  return stats;
-}
-
 namespace {
 
 /// Memo slot for one class pair: the last solved EMD together with the

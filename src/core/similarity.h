@@ -103,10 +103,6 @@ struct SimilarityStats {
   /// the similarity/ prefix, accumulating across solves. Timings are
   /// excluded here — see SimilarityConfig::publish_timings.
   void publish(obs::MetricsRegistry& registry) const;
-  /// View over a registry snapshot: reconstructs the counter fields
-  /// (iteration_ms and total_ms are wall-clock and not part of the
-  /// deterministic snapshot contract, so they come back empty/zero).
-  static SimilarityStats from_snapshot(const obs::MetricsSnapshot& snap);
 };
 
 struct SimilarityResult {

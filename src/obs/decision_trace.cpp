@@ -22,7 +22,7 @@ namespace {
 // on the memcpy/to_chars fast path and the stream sees few large writes.
 constexpr std::size_t kDrainThreshold = 1 << 18;
 
-void append_json_line(std::string& out, const DecisionRecord& rec) {
+void append_json_line(std::string& out, const DecisionEvent& rec) {
   using detail::append_bool;
   using detail::append_double;
   using detail::append_fixed;
@@ -109,7 +109,7 @@ JsonlDecisionSink::JsonlDecisionSink(std::ostream& out) : out_(&out) {}
 
 JsonlDecisionSink::~JsonlDecisionSink() { flush(); }
 
-void JsonlDecisionSink::record(const DecisionRecord& rec) {
+void JsonlDecisionSink::record(const DecisionEvent& rec) {
   append_json_line(buffer_, rec);
   ++records_;
   if (buffer_.size() >= kDrainThreshold) {
@@ -127,7 +127,7 @@ void JsonlDecisionSink::flush() {
 }
 
 void JsonlDecisionSink::write_json_line(std::ostream& out,
-                                        const DecisionRecord& rec) {
+                                        const DecisionEvent& rec) {
   std::string line;
   line.reserve(512);
   append_json_line(line, rec);

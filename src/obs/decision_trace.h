@@ -2,10 +2,10 @@
 // consultation, so a run can be replayed decision-by-decision (what the
 // policy saw, what it chose, why, and what the actuator did with it).
 //
-// The recorder is a null object by default: the engine always calls
-// `sink.record(...)` behind a cheap `enabled()` check, and a disabled
-// recorder performs no work at all — runs with the recorder off are
-// bit-identical to recorder-free builds (asserted in
+// The recorder is a null object by default: obs::Telemetry only assembles
+// and forwards decision events when some decision sink is on, and a
+// disabled recorder performs no work at all — runs with the recorder off
+// are bit-identical to recorder-free builds (asserted in
 // tests/sim/telemetry_test.cpp).
 //
 // Schema (one JSON object per line; scripts/check_trace_schema.py is the
@@ -49,21 +49,25 @@ struct DecisionDetail {
 
 const char* to_string(DecisionDetail::Source source);
 
-/// One scheduler consultation, fully assembled by the simulation engine.
-struct DecisionRecord {
+/// One scheduler consultation, assembled once by the simulation engine and
+/// fanned out by obs::Telemetry to the JSONL sink, the flight recorder and
+/// the Perfetto decision track. Names are borrowed C strings (the
+/// to_string() results of the enums they name; `policy` points into the
+/// run's SimResult) so assembly never allocates.
+struct DecisionEvent {
   std::uint64_t seq = 0;  // consultation index within the run
   double t_s = 0.0;       // simulation time
-  std::string policy;
+  const char* policy = "";
 
-  std::string event;  // syscall name; "rail-monitor" for pure emergencies
+  const char* event = "";  // syscall name; "rail-monitor" for pure emergencies
   int param = 0;
   bool emergency = false;
 
-  std::string cpu;     // device power states as consulted
-  std::string screen;
-  std::string wifi;
-  std::string active;  // cell carrying the load when consulted
-  std::string chosen;  // cell the policy asked for
+  const char* cpu = "";  // device power states as consulted
+  const char* screen = "";
+  const char* wifi = "";
+  const char* active = "";  // cell carrying the load when consulted
+  const char* chosen = "";  // cell the policy asked for
 
   std::optional<DecisionDetail> detail;  // CAPMAN provenance, else nullopt
 
@@ -79,8 +83,9 @@ struct DecisionRecord {
   double hotspot_c = 0.0;
   double demand_w = 0.0;
 
-  int budget_level = 0;     // core::BudgetLevel in force (0 = full)
-  double granted_mw = 0.0;  // arbiter's total grant; 0 without an arbiter
+  bool budget_active = false;  // the consultation re-arbitrated the budget
+  int budget_level = 0;        // core::BudgetLevel in force (0 = full)
+  double granted_mw = 0.0;     // arbiter's total grant; 0 without an arbiter
 };
 
 /// Record sink interface. The null object (base class) drops everything;
@@ -89,7 +94,7 @@ class DecisionSink {
  public:
   virtual ~DecisionSink() = default;
   [[nodiscard]] virtual bool enabled() const { return false; }
-  virtual void record(const DecisionRecord& /*rec*/) {}
+  virtual void record(const DecisionEvent& /*rec*/) {}
   virtual void flush() {}
   [[nodiscard]] virtual std::uint64_t records_written() const { return 0; }
 };
@@ -107,14 +112,14 @@ class JsonlDecisionSink final : public DecisionSink {
   ~JsonlDecisionSink() override;
 
   [[nodiscard]] bool enabled() const override { return true; }
-  void record(const DecisionRecord& rec) override;
+  void record(const DecisionEvent& rec) override;
   void flush() override;
   [[nodiscard]] std::uint64_t records_written() const override {
     return records_;
   }
 
   /// The serialisation itself, exposed for schema round-trip tests.
-  static void write_json_line(std::ostream& out, const DecisionRecord& rec);
+  static void write_json_line(std::ostream& out, const DecisionEvent& rec);
 
  private:
   std::ofstream file_;

@@ -89,17 +89,6 @@ void HealthStats::publish(MetricsRegistry& registry) const {
   }
 }
 
-HealthStats HealthStats::from_snapshot(const MetricsSnapshot& snap) {
-  HealthStats stats;
-  stats.evaluations = snap.counter_or("health/evaluations");
-  for (std::size_t i = 0; i < stats.alerts.size(); ++i) {
-    const auto rule = static_cast<HealthRule>(i);
-    stats.alerts[i] =
-        snap.counter_or(std::string("health/alerts/") + to_string(rule));
-  }
-  return stats;
-}
-
 void HealthMonitor::Window::push(double now, double value, double window_s) {
   t.push_back(now);
   v.push_back(value);
@@ -150,14 +139,15 @@ void HealthMonitor::fire(double t, HealthRule rule, double value,
   alerts_.push_back(std::move(alert));
 }
 
-const std::vector<HealthAlert>& HealthMonitor::evaluate(double t,
-                                                        const Inputs& inputs) {
+const std::vector<HealthAlert>& HealthMonitor::evaluate(
+    const StepSample& sample) {
+  const double t = sample.t_s;
   fired_.clear();
   next_eval_s_ = t + config_.period_s;
   stats_.evaluations += 1;
 
   // --- kThermalRunaway: endpoint slope of the hotter surface/cell trace.
-  const double hot_c = std::max(inputs.skin_c, inputs.cell_c);
+  const double hot_c = std::max(sample.skin_c, sample.cell_c);
   thermal_window_.push(t, hot_c, config_.thermal_window_s);
   {
     const auto index = static_cast<std::size_t>(HealthRule::kThermalRunaway);
@@ -177,24 +167,24 @@ const std::vector<HealthAlert>& HealthMonitor::evaluate(double t,
   // --- kBudgetStarvation: grant covers < ratio of demand for K windows.
   {
     const auto index = static_cast<std::size_t>(HealthRule::kBudgetStarvation);
-    const double demand = inputs.demand_mw;
+    const double demand = sample.demand_w * 1000.0;  // mW, like the grant
     const bool starved =
-        inputs.budget_active && demand > 0.0 &&
-        inputs.granted_mw < config_.starvation_ratio * demand;
+        sample.budget_active && demand > 0.0 &&
+        sample.granted_mw < config_.starvation_ratio * demand;
     starved_windows_ = starved ? starved_windows_ + 1 : 0;
     const bool sustained = starved_windows_ >= config_.starvation_windows;
     if (sustained && !active_[index]) {
       fire(t, HealthRule::kBudgetStarvation,
-           demand > 0.0 ? inputs.granted_mw / demand : 0.0,
+           demand > 0.0 ? sample.granted_mw / demand : 0.0,
            config_.starvation_ratio,
-           "granted_mw=" + format_fixed(inputs.granted_mw, 1) +
+           "granted_mw=" + format_fixed(sample.granted_mw, 1) +
                " demand_mw=" + format_fixed(demand, 1));
     }
     active_[index] = sustained;
   }
 
   // --- kSwitchThrash: cumulative switch count differenced over the window.
-  switch_window_.push(t, static_cast<double>(inputs.switch_count),
+  switch_window_.push(t, static_cast<double>(sample.switch_count),
                       config_.thrash_window_s);
   {
     const auto index = static_cast<std::size_t>(HealthRule::kSwitchThrash);
@@ -220,7 +210,7 @@ const std::vector<HealthAlert>& HealthMonitor::evaluate(double t,
   // --- kGuardEngaged: level-triggered input, edge-triggered alert.
   {
     const auto index = static_cast<std::size_t>(HealthRule::kGuardEngaged);
-    const bool engaged = config_.alert_on_guard && inputs.guard_engaged;
+    const bool engaged = config_.alert_on_guard && sample.guard;
     if (engaged && !active_[index]) {
       fire(t, HealthRule::kGuardEngaged, 1.0, 0.0, "fallback engaged");
     }
@@ -228,13 +218,13 @@ const std::vector<HealthAlert>& HealthMonitor::evaluate(double t,
   }
 
   // --- kTimeToEmpty: SoC over its trailing discharge slope.
-  soc_window_.push(t, inputs.soc, config_.tte_window_s);
+  soc_window_.push(t, sample.soc, config_.tte_window_s);
   {
     const auto index = static_cast<std::size_t>(HealthRule::kTimeToEmpty);
     const double slope = soc_window_.slope_per_s();  // soc per second
     const bool window_full = soc_window_.span() >= 0.5 * config_.tte_window_s;
     if (window_full && slope < 0.0) {
-      tte_s_ = inputs.soc / -slope;
+      tte_s_ = sample.soc / -slope;
       tte_valid_ = true;
     } else if (!tte_valid_) {
       tte_s_ = std::numeric_limits<double>::infinity();
@@ -242,7 +232,7 @@ const std::vector<HealthAlert>& HealthMonitor::evaluate(double t,
     const bool low = tte_valid_ && tte_s_ < config_.tte_watermark_s;
     if (low && !active_[index]) {
       fire(t, HealthRule::kTimeToEmpty, tte_s_, config_.tte_watermark_s,
-           "soc=" + format_fixed(inputs.soc, 4));
+           "soc=" + format_fixed(sample.soc, 4));
     }
     active_[index] = low;
   }

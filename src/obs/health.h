@@ -4,8 +4,9 @@
 // temperature ramping at degrees-per-minute, a budget grant collapsing
 // under demand for minutes, a comparator thrashing the pack, a pack whose
 // time-to-empty first passes a low watermark. The HealthMonitor evaluates
-// a fixed rule set over trailing windows of engine-fed inputs at a
-// sim-clock cadence and emits structured alert records:
+// a fixed rule set over trailing windows of the engine's step samples
+// (obs/step_sample.h) at a sim-clock cadence and emits structured alert
+// records:
 //
 //  * kThermalRunaway   — max(skin, cell) temperature slope over
 //                        thermal_window_s exceeds thermal_slope_c_per_min
@@ -28,8 +29,8 @@
 // (surfaced on SimResult), the health/* registry counters, and — when a
 // FlightRecorder is attached — a black-box dump trigger.
 //
-// Determinism contract: evaluation is a pure function of the (sim-time,
-// inputs) sequence — no wall clock, no RNG, no allocation surprises — and
+// Determinism contract: evaluation is a pure function of the step-sample
+// sequence — no wall clock, no RNG, no allocation surprises — and
 // the monitor never feeds anything back into the simulation, so runs with
 // the monitor on are bit-identical to runs with it off, and fleet alert
 // counts merge deterministically across shard/thread layouts
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/step_sample.h"
 
 namespace capman::obs {
 
@@ -123,36 +125,22 @@ struct HealthStats {
   /// Publish under health/* (health/evaluations, health/alerts_total,
   /// health/alerts/<rule>). Cumulative over a run; publish once at end.
   void publish(MetricsRegistry& registry) const;
-  /// View over a registry snapshot (inverse of publish).
-  static HealthStats from_snapshot(const MetricsSnapshot& snap);
 };
 
 class HealthMonitor {
  public:
-  /// Everything one evaluation reads, assembled by the engine from ground
-  /// truth (the monitor models the management facility's own sensors).
-  struct Inputs {
-    double skin_c = 0.0;
-    double cell_c = 0.0;
-    double soc = 0.0;          // combined pack state of charge [0, 1]
-    double demand_mw = 0.0;    // shaped demand served this step
-    double granted_mw = 0.0;   // arbiter grant in force (0 = no arbiter)
-    bool budget_active = false;
-    std::uint64_t switch_count = 0;  // cumulative pack switches
-    bool guard_engaged = false;      // DegradationGuard in fallback
-  };
-
   /// Validates `config` (throws std::invalid_argument).
   explicit HealthMonitor(const HealthConfig& config);
 
   [[nodiscard]] const HealthConfig& config() const { return config_; }
 
-  /// True when simulation time `t` has reached the next evaluation tick.
-  [[nodiscard]] bool due(double t) const { return t >= next_eval_s_; }
+  /// Simulation time of the next evaluation tick (0 before the first).
+  [[nodiscard]] double next_eval_s() const { return next_eval_s_; }
 
-  /// Evaluate every rule at time `t`; returns the alerts fired by THIS
-  /// evaluation (empty on quiet ticks). Call in sim-time order.
-  const std::vector<HealthAlert>& evaluate(double t, const Inputs& inputs);
+  /// Evaluate every rule on one step's ground truth (at sample.t_s);
+  /// returns the alerts fired by THIS evaluation (empty on quiet ticks).
+  /// Call in sim-time order.
+  const std::vector<HealthAlert>& evaluate(const StepSample& sample);
 
   [[nodiscard]] const std::vector<HealthAlert>& alerts() const {
     return alerts_;

@@ -16,10 +16,11 @@
 // interleaving serialise identically — the property the decision-trace
 // bit-identity tests and the CSV/JSON exporters rely on.
 //
-// The existing per-subsystem stats structs (core::DecisionStats,
-// core::SimilarityStats, core::DegradationStats, sim::FaultStats) publish
-// into a registry and can be reconstructed from a MetricsSnapshot — they
-// are views over this substrate, not parallel bookkeeping.
+// The per-subsystem stats structs (core::DecisionStats,
+// core::SimilarityStats, core::DegradationStats, sim::FaultStats,
+// obs::HealthStats) reach a registry by one route: their publish(). The
+// registry is write-only for them; nothing reconstructs a struct from a
+// snapshot.
 #pragma once
 
 #include <atomic>

@@ -1,20 +1,23 @@
-// Per-run telemetry bundle: one MetricsRegistry + one decision sink + an
-// optional span profiler, built by the simulation engine from the
+// Per-run telemetry bundle: one MetricsRegistry plus every enabled sink
+// (decision JSONL, span profiler, figure series, sampler, flight
+// recorder, health monitor), built by the simulation engine from the
 // TelemetryConfig on sim::SimConfig and torn down (files written) at the
 // end of the run.
 //
-// Determinism contract: with every sink disabled (the default config) the
-// bundle is a registry plus null objects — no file I/O, no profiler
-// installed, no RNG, no floating-point work on the simulation path — so a
-// run with default telemetry is bit-identical to a pre-telemetry build.
-// The registry itself is always live: subsystems publish their counters
-// into it and the engine surfaces the final snapshot in
-// sim::SimResult::metrics, which is how the per-subsystem stats structs
-// became views instead of parallel bookkeeping.
+// Determinism contract: sinks only observe, and disabled sinks are never
+// constructed. With every sink off (the default TelemetryConfig and no
+// figure series) the bundle is a registry plus a null decision sink — no
+// file I/O, no profiler installed, no RNG, no floating-point work on the
+// simulation path — and due() and deciding() stay false, so a run with
+// default telemetry is bit-identical to a pre-telemetry build. The registry itself is always live: subsystems
+// publish their stats into it (publish() is the one route from a stats
+// struct to the registry) and the engine surfaces the final snapshot in
+// sim::SimResult::metrics.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/spans.h"
+#include "obs/step_sample.h"
 #include "obs/timeseries.h"
 
 namespace capman::obs {
@@ -66,40 +70,73 @@ struct TelemetryConfig {
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 
+/// The engine's one route out: it hands over one StepSample per observed
+/// step and one DecisionEvent per consultation, and Telemetry fans them
+/// out to every sink that is on. The engine names no sink.
 class Telemetry {
  public:
-  explicit Telemetry(const TelemetryConfig& config);
+  /// Builds the enabled sinks. `figure_period_s` > 0 additionally records
+  /// the five figure series (unbounded) on that sim-clock cadence. When
+  /// spans are on, installs the profiler as the ambient SpanProfiler (and
+  /// labels the calling thread "sim-main") until finish().
+  explicit Telemetry(const TelemetryConfig& config,
+                     double figure_period_s = 0.0);
 
-  [[nodiscard]] const TelemetryConfig& config() const { return config_; }
   [[nodiscard]] MetricsRegistry& registry() { return registry_; }
-  [[nodiscard]] DecisionSink& decisions() { return *decisions_; }
-  /// Null when spans are disabled. The caller (engine) installs it as the
-  /// ambient SpanProfiler for the duration of the run.
-  [[nodiscard]] SpanProfiler* profiler() { return profiler_.get(); }
   [[nodiscard]] bool timing_metrics() const { return config_.timing_metrics; }
-  /// Null unless the corresponding config is enabled — the determinism
-  /// contract's "disabled components are never constructed" pattern.
-  [[nodiscard]] MetricsSampler* sampler() { return sampler_.get(); }
-  [[nodiscard]] FlightRecorder* recorder() { return recorder_.get(); }
-  [[nodiscard]] HealthMonitor* health() { return health_.get(); }
 
-  /// Monotonic decision sequence number within this run.
-  std::uint64_t next_seq() { return seq_++; }
+  /// True when some per-step sink wants the step at `t_s`. With every
+  /// per-step sink off this is `t_s >= +inf`: the whole observe stage is
+  /// one branch, and the caller skips assembling the sample.
+  [[nodiscard]] bool due(double t_s) const { return t_s >= next_due_s_; }
+  /// Feed one step to the figure series, the Perfetto counters, the
+  /// sampler, the flight recorder's edge detectors and the health monitor.
+  void observe(const StepSample& sample);
 
-  /// Snapshot the registry and write every configured output file. Call
-  /// once, after instrumented threads quiesced and the ambient profiler
-  /// scope was exited.
-  MetricsSnapshot finish();
+  /// True when some sink wants decision events (the JSONL trace, the
+  /// flight recorder or the ambient profiler's decision track).
+  [[nodiscard]] bool deciding() const { return deciding_; }
+  void decide(const DecisionEvent& event);
+
+  /// Black-box landing: the run is unwinding from an exception at `t_s`.
+  /// Never throws (a failing dump must not mask the original error).
+  void crash(double t_s) noexcept;
+
+  /// Close the run at `t_end_s`: complete the engine.run span, dump the
+  /// flight recorder when dump_at_end asks, uninstall the profiler,
+  /// snapshot the registry and write every configured output file. Call
+  /// once, after instrumented threads quiesced.
+  MetricsSnapshot finish(double t_end_s);
+
+  /// Move the figure series out (untouched when none were recorded).
+  void take_figures(TimeSeries& soc, TimeSeries& power_w,
+                    TimeSeries& hotspot_c, TimeSeries& skin_c,
+                    TimeSeries& tec_w);
+  /// Health stats and alert log (untouched when the monitor is off).
+  void take_health(HealthStats& stats, std::vector<HealthAlert>& alerts);
 
  private:
+  void schedule_next();
+
   TelemetryConfig config_;
   MetricsRegistry registry_;
   std::unique_ptr<DecisionSink> decisions_;
   std::unique_ptr<SpanProfiler> profiler_;
+  std::optional<SpanProfiler::Scope> scope_;  // after profiler_: dies first
+  SpanProfiler* ambient_ = nullptr;  // installed profiler at construction
+  double run_start_us_ = 0.0;
+  std::unique_ptr<MetricsSampler> figures_;
   std::unique_ptr<MetricsSampler> sampler_;
   std::unique_ptr<FlightRecorder> recorder_;
   std::unique_ptr<HealthMonitor> health_;
-  std::uint64_t seq_ = 0;
+  double next_due_s_ = 0.0;
+  bool deciding_ = false;
+
+  // Flight-recorder edge detectors: the ring records transitions, not
+  // levels, so a quiet run stays quiet even with the recorder armed.
+  std::uint64_t last_switch_count_ = 0;
+  bool last_stuck_ = false;
+  bool last_guard_ = false;
 };
 
 }  // namespace capman::obs

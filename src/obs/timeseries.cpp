@@ -1,6 +1,7 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "obs/json_append.h"
@@ -11,11 +12,10 @@ TimeSeries::TimeSeries(std::size_t capacity) : capacity_(capacity) {
   if (capacity_ < 2) {
     throw std::invalid_argument("TimeSeries capacity must be >= 2");
   }
-  t_.reserve(capacity_);
-  v_.reserve(capacity_);
 }
 
-void TimeSeries::add(util::Seconds t, double v) {
+void TimeSeries::add(double t, double v) {
+  assert(t_.empty() || t >= t_.back());
   const std::uint64_t index = offered_++;
   if (index % stride_ != 0) return;
   if (t_.size() == capacity_) {
@@ -32,13 +32,9 @@ void TimeSeries::add(util::Seconds t, double v) {
     stride_ *= 2;
     if (index % stride_ != 0) return;
   }
-  t_.push_back(t.value());
+  t_.push_back(t);
   v_.push_back(v);
 }
-
-double TimeSeries::last_time() const { return t_.empty() ? 0.0 : t_.back(); }
-
-double TimeSeries::last_value() const { return v_.empty() ? 0.0 : v_.back(); }
 
 double TimeSeries::min_value() const {
   return v_.empty() ? 0.0 : *std::min_element(v_.begin(), v_.end());
@@ -46,6 +42,29 @@ double TimeSeries::min_value() const {
 
 double TimeSeries::max_value() const {
   return v_.empty() ? 0.0 : *std::max_element(v_.begin(), v_.end());
+}
+
+TimeSeries TimeSeries::decimate(std::size_t n) const {
+  TimeSeries out;
+  if (t_.empty() || n == 0) return out;
+  if (t_.size() <= n) return *this;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t idx = i * (t_.size() - 1) / (n - 1 > 0 ? n - 1 : 1);
+    out.add(t_[idx], v_[idx]);
+  }
+  return out;
+}
+
+double TimeSeries::fraction_above(double threshold) const {
+  if (t_.size() < 2) return 0.0;
+  double above = 0.0;
+  double total = 0.0;
+  for (std::size_t i = 0; i + 1 < t_.size(); ++i) {
+    const double dt = t_[i + 1] - t_[i];
+    total += dt;
+    if (v_[i] > threshold) above += dt;
+  }
+  return total > 0.0 ? above / total : 0.0;
 }
 
 std::vector<std::string> SamplerConfig::validate() const {
@@ -73,44 +92,20 @@ MetricsSampler::MetricsSampler(const SamplerConfig& config) : config_(config) {
   }
 }
 
-std::size_t MetricsSampler::add_channel(std::string name) {
+std::size_t MetricsSampler::channel(std::string name) {
   for (const auto& existing : channels_) {
     if (existing.name == name) {
       throw std::invalid_argument("MetricsSampler: duplicate channel '" +
                                   name + "'");
     }
   }
-  Channel ch{std::move(name), TimeSeries{config_.capacity}, 0.0, nullptr,
-             nullptr};
-  channels_.push_back(std::move(ch));
+  channels_.push_back({std::move(name), TimeSeries{config_.capacity}, 0.0});
   return channels_.size() - 1;
-}
-
-std::size_t MetricsSampler::channel(std::string name) {
-  return add_channel(std::move(name));
-}
-
-std::size_t MetricsSampler::bind_counter(std::string name,
-                                         const Counter& counter) {
-  const std::size_t id = add_channel(std::move(name));
-  channels_[id].counter = &counter;
-  return id;
-}
-
-std::size_t MetricsSampler::bind_gauge(std::string name, const Gauge& gauge) {
-  const std::size_t id = add_channel(std::move(name));
-  channels_[id].gauge = &gauge;
-  return id;
 }
 
 void MetricsSampler::sample(util::Seconds t) {
   for (auto& ch : channels_) {
-    if (ch.counter != nullptr) {
-      ch.last = static_cast<double>(ch.counter->value());
-    } else if (ch.gauge != nullptr) {
-      ch.last = ch.gauge->value();
-    }
-    ch.series.add(t, ch.last);
+    ch.series.add(t.value(), ch.last);
   }
   ++samples_;
   next_sample_s_ = t.value() + config_.period_s;

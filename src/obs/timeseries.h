@@ -1,20 +1,26 @@
-// The time dimension of obs/: bounded-memory metric history.
+// The one (time, value) series type of the stack, and the sampler that
+// feeds it on a sim-clock cadence.
 //
-// obs::TimeSeries is a fixed-capacity sample ring with *stride
-// downsampling*: when the buffer fills, every other retained sample is
-// dropped and the acceptance stride doubles, so a series that outlives its
-// capacity degrades resolution instead of memory. The retained set is a
-// pure function of the add() sequence — never of wall clock or allocation
-// pressure — which is what lets two identical runs carry bit-identical
-// history (tests/obs/timeseries_test.cpp pins wrap and downsample).
+// obs::TimeSeries comes in two shapes:
+//  * unbounded (default-constructed): every add() is kept and nothing is
+//    reserved up front — the figure series on sim::SimResult, the V-edge
+//    pulse recordings;
+//  * bounded (explicit capacity >= 2): a ring with *stride downsampling*.
+//    When the buffer fills, every other retained sample is dropped and
+//    the acceptance stride doubles, so a series that outlives its
+//    capacity degrades resolution instead of memory.
+// Either way the retained set is a pure function of the add() sequence —
+// never of wall clock or allocation pressure — which is what lets two
+// identical runs carry bit-identical history (tests/obs/timeseries_test.cpp
+// pins wrap and downsample).
 //
 // obs::MetricsSampler bundles one TimeSeries per named channel behind a
-// single sim-clock cadence: the engine feeds the latest value of each
-// channel (or binds a live registry Counter/Gauge) and calls sample(t) on
-// the shared tick, so every channel sees the same add() sequence, stays on
-// the same stride, and the exported CSV rows align column-for-column.
-// Sampling is driven by *simulation* time only — the sampler never reads a
-// clock — so enabling it cannot perturb determinism.
+// single sim-clock cadence: the caller feeds the latest value of each
+// channel and calls sample(t) on the shared tick, so every channel sees
+// the same add() sequence, stays on the same stride, and the exported CSV
+// rows align column-for-column. Sampling is driven by *simulation* time
+// only — the sampler never reads a clock — so enabling it cannot perturb
+// determinism.
 //
 // Determinism contract (matches obs/telemetry.h): a disabled sampler is
 // never constructed, and a constructed sampler only observes — it writes
@@ -24,49 +30,58 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "util/units.h"
 
 namespace capman::obs {
 
-/// Fixed-capacity (time, value) ring with stride downsampling (see the
-/// file comment). Capacity must be >= 2 (throws std::invalid_argument).
+/// (time, value) series, unbounded or a stride-downsampling ring (see the
+/// file comment).
 class TimeSeries {
  public:
-  explicit TimeSeries(std::size_t capacity = 512);
+  static constexpr std::size_t kUnbounded =
+      std::numeric_limits<std::size_t>::max();
 
-  /// Offer one sample at simulation time `t`. Samples are accepted when
-  /// their offer index is a multiple of the current stride; a full buffer
-  /// compacts (drops every other retained sample) and doubles the stride
-  /// first. Takes strong-typed seconds: the series is simulation-clock
-  /// history by contract, and the type seals the µs/ms/s confusion off.
-  void add(util::Seconds t, double v);
+  TimeSeries() = default;
+  /// Bounded ring; capacity must be >= 2 (throws std::invalid_argument).
+  explicit TimeSeries(std::size_t capacity);
+
+  /// Offer one sample at time `t` (seconds, non-decreasing). Samples are
+  /// accepted when their offer index is a multiple of the current stride;
+  /// a full ring compacts (drops every other retained sample) and doubles
+  /// the stride first. An unbounded series never compacts.
+  void add(double t, double v);
 
   [[nodiscard]] std::size_t size() const { return t_.size(); }
   [[nodiscard]] bool empty() const { return t_.empty(); }
+  /// kUnbounded for a default-constructed series.
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Current acceptance stride (1 until the first overflow, then 2, 4...).
   [[nodiscard]] std::uint64_t stride() const { return stride_; }
-  /// Total samples ever offered via add(), retained or not.
-  [[nodiscard]] std::uint64_t total_offered() const { return offered_; }
 
   [[nodiscard]] double time_at(std::size_t i) const { return t_[i]; }
   [[nodiscard]] double value_at(std::size_t i) const { return v_[i]; }
   [[nodiscard]] const std::vector<double>& times() const { return t_; }
   [[nodiscard]] const std::vector<double>& values() const { return v_; }
 
-  [[nodiscard]] double last_time() const;
-  [[nodiscard]] double last_value() const;
-  [[nodiscard]] double min_value() const;  // over retained samples
+  [[nodiscard]] double min_value() const;  // over retained samples; 0 if empty
   [[nodiscard]] double max_value() const;
 
+  /// Uniformly subsample to at most n points (keeps first and last).
+  [[nodiscard]] TimeSeries decimate(std::size_t n) const;
+
+  /// Fraction of time the value exceeds `threshold` (piecewise-constant
+  /// interpretation: each sample holds until the next).
+  [[nodiscard]] double fraction_above(double threshold) const;
+
  private:
-  std::size_t capacity_;
+  std::size_t capacity_ = kUnbounded;
   std::uint64_t stride_ = 1;
   std::uint64_t offered_ = 0;
   std::vector<double> t_;
@@ -80,7 +95,8 @@ struct SamplerConfig {
   bool enabled = false;
   /// Sampling period on the simulation clock, seconds.
   double period_s = 2.0;
-  /// Ring capacity per channel (stride doubles on overflow).
+  /// Ring capacity per channel (stride doubles on overflow);
+  /// TimeSeries::kUnbounded keeps every tick.
   std::size_t capacity = 512;
   /// Wide CSV of the sampled history ("" = don't write): one t_s column
   /// plus one column per channel, rows aligned on the shared cadence.
@@ -92,8 +108,8 @@ struct SamplerConfig {
 };
 
 /// Named-channel periodic sampler (see the file comment). Channels are
-/// registered up front (engine setup), fed via set()/bind_*, and recorded
-/// together by sample(t) whenever the caller's clock passes due().
+/// registered up front, fed via set(), and recorded together by sample(t)
+/// whenever the caller's clock passes due().
 class MetricsSampler {
  public:
   explicit MetricsSampler(const SamplerConfig& config);
@@ -101,18 +117,16 @@ class MetricsSampler {
   /// Register a value channel; returns its id. Registration order is the
   /// CSV column order. Duplicate names throw std::invalid_argument.
   std::size_t channel(std::string name);
-  /// Register a channel mirroring a live registry instrument, read at
-  /// each tick. The instrument must outlive the sampler.
-  std::size_t bind_counter(std::string name, const Counter& counter);
-  std::size_t bind_gauge(std::string name, const Gauge& gauge);
 
-  /// Update the latest value of a set-channel (cheap; no recording).
+  /// Update the latest value of a channel (cheap; no recording).
   void set(std::size_t id, double v) { channels_[id].last = v; }
 
   /// True when simulation time `t` has reached the next sampling tick.
   [[nodiscard]] bool due(util::Seconds t) const {
     return t.value() >= next_sample_s_;
   }
+  /// Simulation time of the next sampling tick.
+  [[nodiscard]] double next_sample_s() const { return next_sample_s_; }
   /// Record every channel at time `t` and advance the cadence.
   void sample(util::Seconds t);
 
@@ -121,6 +135,10 @@ class MetricsSampler {
   [[nodiscard]] std::uint64_t samples_taken() const { return samples_; }
   [[nodiscard]] const TimeSeries& series(std::size_t id) const {
     return channels_[id].series;
+  }
+  /// Move a channel's history out (the channel is left empty).
+  [[nodiscard]] TimeSeries take(std::size_t id) {
+    return std::move(channels_[id].series);
   }
   [[nodiscard]] const std::string& name(std::size_t id) const {
     return channels_[id].name;
@@ -137,11 +155,7 @@ class MetricsSampler {
     std::string name;
     TimeSeries series;
     double last = 0.0;
-    const Counter* counter = nullptr;  // at most one bound instrument
-    const Gauge* gauge = nullptr;
   };
-
-  std::size_t add_channel(std::string name);
 
   SamplerConfig config_;
   std::vector<Channel> channels_;

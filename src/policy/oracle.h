@@ -6,9 +6,9 @@
 // interval's demand on each, and picks the battery whose *marginal*
 // consumption (energy drawn from the wells, weighted by how scarce that
 // cell's remaining energy is) is lower. A reserve floor keeps a sliver of
-// LITTLE capacity for late surges. This is not provably optimal, but with
-// perfect knowledge and true cell physics it dominates every online policy
-// in practice, which is the role the paper's Oracle plays.
+// LITTLE capacity for late surges. It is a greedy one-interval lookahead,
+// not a bound on the online policies: they can outlive it (on the seed-42
+// Fig. 12 traces Dual does on Geekbench, CAPMAN and Heuristic on PCMark).
 #pragma once
 
 #include <string>

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <exception>
-#include <optional>
 #include <stdexcept>
 
 #include "device/power_consumer.h"
@@ -89,39 +88,15 @@ SimResult SimEngine::run(const workload::Trace& trace,
   result.policy = policy.name();
   result.phone = phone.profile().name;
 
-  // Telemetry bundle (src/obs): registry + decision sink + span profiler,
-  // built per run so concurrent engines never share sinks. The profiler is
-  // installed as the ambient SpanProfiler only for the duration of this
-  // run; the policy's registry binding is likewise detached before
-  // returning (run_cycles reuses policy instances across runs).
-  obs::Telemetry telemetry{config_.telemetry};
-  std::optional<obs::SpanProfiler::Scope> profiler_scope;
-  if (telemetry.profiler() != nullptr) {
-    obs::set_current_thread_label("sim-main");
-    profiler_scope.emplace(*telemetry.profiler());
-  }
+  // Telemetry bundle (src/obs): the registry plus every enabled sink,
+  // built per run so concurrent engines never share sinks. The engine's
+  // only route out is one StepSample per observed step and one
+  // DecisionEvent per consultation; the policy's registry binding is
+  // detached before returning (run_cycles reuses policy instances).
+  obs::Telemetry telemetry{
+      config_.telemetry,
+      config_.record_series ? config_.series_period.value() : 0.0};
   policy.bind_metrics(&telemetry.registry(), telemetry.timing_metrics());
-  obs::DecisionSink& decision_sink = telemetry.decisions();
-
-  // Time-dimension observability (obs/timeseries.h, obs/flight_recorder.h,
-  // obs/health.h). All three are null when their configs are disabled (the
-  // default), so the hot loop below keeps its pre-observability shape.
-  obs::MetricsSampler* const sampler = telemetry.sampler();
-  obs::FlightRecorder* const recorder = telemetry.recorder();
-  obs::HealthMonitor* const health = telemetry.health();
-  struct SamplerChannels {
-    std::size_t soc, power_w, hotspot_c, skin_c, cell_c, demand_w, granted_mw;
-  };
-  SamplerChannels ch{};
-  if (sampler != nullptr) {
-    ch.soc = sampler->channel("soc");
-    ch.power_w = sampler->channel("power_w");
-    ch.hotspot_c = sampler->channel("hotspot_c");
-    ch.skin_c = sampler->channel("skin_c");
-    ch.cell_c = sampler->channel("cell_c");
-    ch.demand_w = sampler->channel("demand_w");
-    ch.granted_mw = sampler->channel("granted_mw");
-  }
 
   // Fault injection (sim/faults.h). The injector is only built when the
   // plan is enabled: with no injector the run is byte-for-byte the code
@@ -192,7 +167,6 @@ SimResult SimEngine::run(const workload::Trace& trace,
   double unmet_s = 0.0;
   double last_consult_s = -1.0;
   double tec_power_w = 0.0;  // TEC draw decided last step (one-step lag)
-  double next_sample_s = 0.0;
   double sum_power_x_dt = 0.0;
   util::RunningStats cpu_temp_stats;
   util::RunningStats surface_temp_stats;
@@ -206,34 +180,18 @@ SimResult SimEngine::run(const workload::Trace& trace,
   std::uint64_t emergency_consults = 0;
   std::uint64_t unmet_steps = 0;
 
-  // Flight-recorder edge detectors: the ring records transitions, not
-  // levels, so a quiet run stays quiet even with the recorder armed.
-  std::size_t last_switch_count = 0;
-  bool last_stuck = false;
-  bool last_guard = false;
-
-  // Black-box landing on crash: if anything in the loop below throws, dump
-  // whatever the ring holds before the exception unwinds past the engine.
-  struct CrashDump {
-    obs::FlightRecorder* recorder;
-    const double* now_s;
+  // Black-box landing on crash: if anything in the loop below throws, the
+  // telemetry dumps what it holds before the exception unwinds past the
+  // engine.
+  struct CrashGuard {
+    obs::Telemetry& telemetry;
+    const double& now_s;
     int armed = std::uncaught_exceptions();
-    ~CrashDump() {
-      if (recorder != nullptr && std::uncaught_exceptions() > armed) {
-        try {
-          recorder->record(*now_s, obs::FlightEventKind::kEngine, "exception");
-          recorder->trigger(*now_s, "engine-exception");
-        } catch (...) {  // a failing dump must not mask the original error
-        }
-      }
+    ~CrashGuard() {
+      if (std::uncaught_exceptions() > armed) telemetry.crash(now_s);
     }
-  } crash_dump{recorder, &t};
+  } crash_guard{telemetry, t};
 
-  // engine.run is closed by hand (not RAII) so the span lands in the
-  // buffers before Telemetry::finish() serialises the trace below.
-  obs::SpanProfiler* const run_profiler = obs::SpanProfiler::current();
-  const double run_start_us =
-      run_profiler != nullptr ? run_profiler->now_us() : 0.0;
   while (t < config_.max_duration.value()) {
     const bool fired = cursor.advance(t);
     const device::DeviceDemand& demand = cursor.demand_at(t);
@@ -308,66 +266,46 @@ SimResult SimEngine::run(const workload::Trace& trace,
         budget_level = policy.preferred_budget_level();
         rig->arbiter.rebudget(budget_inputs(), budget_level, rig->consumers);
         last_rebudget_s = t;
-        if (recorder != nullptr) {
-          recorder->record(
-              t, obs::FlightEventKind::kBudget, "rebudget",
-              "level=" + std::to_string(static_cast<int>(budget_level)),
-              // capman-lint: allow(raw-unit, flight recorder value is double)
-              rig->arbiter.last_grant().granted_mw.raw());
-        }
-      }
-      if (recorder != nullptr) {
-        recorder->record(t, obs::FlightEventKind::kDecision,
-                         ctx.emergency ? "rail-monitor"
-                                       : workload::to_string(action.kind),
-                         std::string("policy=") + result.policy +
-                             " chosen=" + battery::to_string(choice),
-                         ctx.demand_w);
       }
 
-      // One decision-trace record per consultation: what the policy saw,
-      // what it chose and why, and what the actuator did with it. Record
-      // assembly is skipped entirely when no sink is attached, so the
-      // disabled path does no string work.
-      if (decision_sink.enabled()) {
-        obs::DecisionRecord rec;
-        rec.seq = telemetry.next_seq();
-        rec.t_s = t;
-        rec.policy = result.policy;
-        rec.event = ctx.emergency ? "rail-monitor"
-                                  : workload::to_string(action.kind);
-        rec.param = static_cast<int>(action.param_bucket);
-        rec.emergency = ctx.emergency;
-        rec.cpu = device::to_string(ctx.device.cpu);
-        rec.screen = device::to_string(ctx.device.screen);
-        rec.wifi = device::to_string(ctx.device.wifi);
-        rec.active = battery::to_string(ctx.active);
-        rec.chosen = battery::to_string(choice);
-        rec.detail = policy.last_decision_detail();
-        rec.switch_requested = choice != ctx.active;
+      // One decision event per consultation: what the policy saw, what it
+      // chose and why, and what the actuator did with it. Assembly is
+      // skipped entirely when no decision sink is on.
+      if (telemetry.deciding()) {
+        obs::DecisionEvent ev;
+        ev.seq = consults - 1;
+        ev.t_s = t;
+        ev.policy = result.policy.c_str();
+        ev.event = ctx.emergency ? "rail-monitor"
+                                 : workload::to_string(action.kind);
+        ev.param = static_cast<int>(action.param_bucket);
+        ev.emergency = ctx.emergency;
+        ev.cpu = device::to_string(ctx.device.cpu);
+        ev.screen = device::to_string(ctx.device.screen);
+        ev.wifi = device::to_string(ctx.device.wifi);
+        ev.active = battery::to_string(ctx.active);
+        ev.chosen = battery::to_string(choice);
+        ev.detail = policy.last_decision_detail();
+        ev.switch_requested = choice != ctx.active;
         if (dual != nullptr) {
-          rec.switch_accepted =
-              rec.switch_requested && dual->switch_facility().target() == choice;
-          rec.switch_pending = dual->switch_facility().switch_pending();
+          ev.switch_accepted =
+              ev.switch_requested && dual->switch_facility().target() == choice;
+          ev.switch_pending = dual->switch_facility().switch_pending();
         }
-        rec.guard_fallback = policy.degradation().in_fallback;
-        rec.fault_stuck =
+        ev.guard_fallback = policy.degradation().in_fallback;
+        ev.fault_stuck =
             injector != nullptr && injector->stuck_now(util::Seconds{t});
-        rec.big_soc = ctx.big_soc;
-        rec.little_soc = ctx.little_soc;
-        rec.hotspot_c = ctx.hotspot_c;
-        rec.demand_w = ctx.demand_w;
+        ev.big_soc = ctx.big_soc;
+        ev.little_soc = ctx.little_soc;
+        ev.hotspot_c = ctx.hotspot_c;
+        ev.demand_w = ctx.demand_w;
         if (rig) {
-          rec.budget_level = static_cast<int>(budget_level);
-          // capman-lint: allow(raw-unit, decision trace serializes doubles)
-          rec.granted_mw = rig->arbiter.last_grant().granted_mw.raw();
+          ev.budget_active = true;
+          ev.budget_level = static_cast<int>(budget_level);
+          // capman-lint: allow(raw-unit, decision events carry plain doubles)
+          ev.granted_mw = rig->arbiter.last_grant().granted_mw.raw();
         }
-        decision_sink.record(rec);
-      }
-      if (auto* profiler = obs::SpanProfiler::current()) {
-        profiler->sim_instant(ctx.emergency ? "rail-monitor"
-                                            : workload::to_string(action.kind),
-                              "decision", obs::SpanProfiler::kDecisionTrack, t);
+        telemetry.decide(ev);
       }
     }
 
@@ -390,6 +328,7 @@ SimResult SimEngine::run(const workload::Trace& trace,
 
     const auto step = source->step(load, dt, util::Seconds{t});
     policy.record_step(step.delivered, step.losses, step.demand_met);
+    bool relax_rebudget = false;
     if (rig) {
       last_rail_v = step.rail_voltage.value();
       // Comparator-relax rebudget: the sagging rail is the comparator
@@ -401,12 +340,7 @@ SimResult SimEngine::run(const workload::Trace& trace,
         rig->arbiter.note_voltage_trigger();
         rig->arbiter.rebudget(budget_inputs(), budget_level, rig->consumers);
         last_rebudget_s = t;
-        if (recorder != nullptr) {
-          recorder->record(t, obs::FlightEventKind::kBudget, "relax-rebudget",
-                           "rail_v=" + std::to_string(last_rail_v),
-                           // capman-lint: allow(raw-unit, recorder value is double)
-                           rig->arbiter.last_grant().granted_mw.raw());
-        }
+        relax_rebudget = true;
       }
       // capman-lint: allow(raw-unit, time-weighted budget integral is double)
       sum_budget_x_dt += rig->arbiter.last_grant().effective_mw.raw() * dt_s;
@@ -428,86 +362,30 @@ SimResult SimEngine::run(const workload::Trace& trace,
     cpu_temp_stats.add(thermal.cpu_temperature().value());
     surface_temp_stats.add(thermal.surface_temperature().value());
 
-    if (config_.record_series && t >= next_sample_s) {
-      result.soc_series.add(t, source->soc());
-      result.power_series.add(t, load.value());
-      result.cpu_temp_series.add(t, thermal.cpu_temperature().value());
-      result.surface_temp_series.add(t, thermal.surface_temperature().value());
-      result.tec_power_series.add(t, tec_power_w);
-      // Mirror the key series onto Perfetto counter tracks (sim timeline),
-      // at the same decimation as the CSV series.
-      if (auto* profiler = obs::SpanProfiler::current()) {
-        profiler->sim_counter("soc", t, source->soc());
-        profiler->sim_counter("power_w", t, load.value());
-        profiler->sim_counter("cpu_temp_c", t,
-                              thermal.cpu_temperature().value());
+    // --- Observe: one ground-truth sample for every per-step sink ---
+    if (telemetry.due(t)) {
+      obs::StepSample sample;
+      sample.t_s = t;
+      sample.soc = source->soc();
+      sample.load_w = load.value();
+      sample.demand_w = comp.total().value();
+      sample.hotspot_c = thermal.cpu_temperature().value();
+      sample.skin_c = thermal.surface_temperature().value();
+      sample.cell_c = thermal.battery_temperature().value();
+      sample.tec_w = tec_power_w;
+      if (rig) {
+        sample.budget_active = true;
+        // capman-lint: allow(raw-unit, step samples carry plain doubles)
+        sample.granted_mw = rig->arbiter.last_grant().granted_mw.raw();
+        sample.relax_rebudget = relax_rebudget;
+        sample.rail_v = last_rail_v;
       }
-      next_sample_s = t + config_.series_period.value();
-    }
-
-    // --- Time-dimension observability (all sim-clock driven) ---
-    if (recorder != nullptr) {
-      const std::size_t switches = source->switch_count();
-      if (switches != last_switch_count) {
-        recorder->record(
-            t, obs::FlightEventKind::kSwitch, "latched",
-            std::string("active=") + battery::to_string(source->active()),
-            static_cast<double>(switches));
-        last_switch_count = switches;
-      }
-      if (injector) {
-        const bool stuck = injector->stuck_now(util::Seconds{t});
-        if (stuck != last_stuck) {
-          recorder->record(t, obs::FlightEventKind::kFault,
-                           stuck ? "stuck-enter" : "stuck-exit");
-          last_stuck = stuck;
-        }
-      }
-      const bool guard_now = policy.degradation().in_fallback;
-      if (guard_now != last_guard) {
-        recorder->record(t, obs::FlightEventKind::kGuard,
-                         guard_now ? "fallback-enter" : "fallback-exit");
-        last_guard = guard_now;
-      }
-    }
-    if (sampler != nullptr && sampler->due(util::Seconds{t})) {
-      sampler->set(ch.soc, source->soc());
-      sampler->set(ch.power_w, load.value());
-      sampler->set(ch.hotspot_c, thermal.cpu_temperature().value());
-      sampler->set(ch.skin_c, thermal.surface_temperature().value());
-      sampler->set(ch.cell_c, thermal.battery_temperature().value());
-      sampler->set(ch.demand_w, comp.total().value());
-      const double sampled_grant =
-          // capman-lint: allow(raw-unit, sampler channels carry plain doubles)
-          rig ? rig->arbiter.last_grant().granted_mw.raw() : 0.0;
-      sampler->set(ch.granted_mw, sampled_grant);
-      sampler->sample(util::Seconds{t});
-    }
-    if (health != nullptr && health->due(t)) {
-      // The monitor models the management facility's own sensors, so it
-      // reads ground truth (like the arbiter), not the policy's view.
-      obs::HealthMonitor::Inputs in;
-      in.skin_c = thermal.surface_temperature().value();
-      in.cell_c = thermal.battery_temperature().value();
-      in.soc = source->soc();
-      in.demand_mw = comp.total().value() * 1000.0;
-      // capman-lint: allow(raw-unit, health inputs carry plain doubles)
-      in.granted_mw = rig ? rig->arbiter.last_grant().granted_mw.raw() : 0.0;
-      in.budget_active = rig != nullptr;
-      in.switch_count = source->switch_count();
-      in.guard_engaged = policy.degradation().in_fallback;
-      const auto& alerts_fired = health->evaluate(t, in);
-      if (recorder != nullptr && !alerts_fired.empty()) {
-        for (const auto& alert : alerts_fired) {
-          recorder->record(t, obs::FlightEventKind::kAlert,
-                           obs::to_string(alert.rule), alert.detail,
-                           alert.value);
-        }
-        if (recorder->config().dump_on_alert) {
-          recorder->trigger(t, std::string("alert:") +
-                                   obs::to_string(alerts_fired.front().rule));
-        }
-      }
+      sample.switch_count = source->switch_count();
+      sample.active = battery::to_string(source->active());
+      sample.guard = policy.degradation().in_fallback;
+      sample.stuck =
+          injector != nullptr && injector->stuck_now(util::Seconds{t});
+      telemetry.observe(sample);
     }
 
     ++steps;
@@ -560,9 +438,10 @@ SimResult SimEngine::run(const workload::Trace& trace,
   }
 
   // --- Telemetry teardown -------------------------------------------------
-  // Publish the run's cumulative counters into the registry, then snapshot
-  // it (writing any configured output files) and surface the snapshot on
-  // the result. Publication order does not matter: snapshots are sorted.
+  // Publish the run's cumulative stats into the registry, then snapshot it
+  // (writing any configured output files) and surface the snapshot and the
+  // sinks' results on the result. Publication order does not matter:
+  // snapshots are sorted.
   obs::MetricsRegistry& registry = telemetry.registry();
   registry.counter("engine/steps").add(steps);
   registry.counter("engine/events_fired").add(events_fired);
@@ -586,28 +465,12 @@ SimResult SimEngine::run(const workload::Trace& trace,
     rig->arbiter.publish_metrics(registry);
   }
   policy.publish_metrics(registry);
-  if (run_profiler != nullptr) {
-    run_profiler->complete("engine.run", "sim", run_start_us,
-                           run_profiler->now_us() - run_start_us);
-    registry.counter("engine/trace_events").add(run_profiler->event_count());
-  }
-  if (recorder != nullptr && recorder->config().dump_at_end) {
-    recorder->trigger(t, "end-of-run");
-  }
   policy.bind_metrics(nullptr, false);
-  profiler_scope.reset();  // uninstall before serialising the trace
-  result.metrics = telemetry.finish();
-  if (health != nullptr) {
-    // Same view contract as FaultStats: HealthStats reconstructs from the
-    // snapshot Telemetry::finish() published into.
-    result.health = obs::HealthStats::from_snapshot(result.metrics);
-    result.health_alerts = health->alerts();
-  }
-  if (injector) {
-    // Round-trip through the snapshot: FaultStats is a view over the
-    // registry, and reconstructing it here keeps that contract honest.
-    result.faults = FaultStats::from_snapshot(result.metrics);
-  }
+  result.metrics = telemetry.finish(t);
+  telemetry.take_figures(result.soc_series, result.power_series,
+                         result.cpu_temp_series, result.surface_temp_series,
+                         result.tec_power_series);
+  telemetry.take_health(result.health, result.health_alerts);
   return result;
 }
 

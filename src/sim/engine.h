@@ -32,7 +32,8 @@ struct SimConfig {
   // capacitance, repeated or sustained sag shuts the phone down.
   util::Seconds death_grace{2.5};
 
-  // Series capture (decimated to roughly this sampling period).
+  // Figure series capture (SimResult::*_series): obs::Telemetry samples
+  // the step at roughly this period into unbounded series.
   bool record_series = true;
   util::Seconds series_period{2.0};
 
@@ -58,10 +59,12 @@ struct SimConfig {
   core::PowerBudgetArbiterConfig budget{};
 
   // Telemetry sinks (src/obs): decision-trace JSONL, Chrome-trace spans,
-  // metrics JSON. All off by default; the deterministic registry snapshot
-  // still lands in SimResult::metrics, and runs with everything disabled
-  // are bit-identical to a telemetry-free build
-  // (tests/sim/telemetry_test.cpp).
+  // metrics JSON/OpenMetrics, sampler, flight recorder, health monitor.
+  // The engine feeds them only through obs::Telemetry (one StepSample per
+  // observed step, one DecisionEvent per consultation). All off by
+  // default; the deterministic registry snapshot still lands in
+  // SimResult::metrics, and runs with everything disabled are
+  // bit-identical to a telemetry-free build (tests/sim/telemetry_test.cpp).
   obs::TelemetryConfig telemetry{};
 
   /// Human-readable configuration errors; empty means the config is valid.

@@ -19,23 +19,4 @@ void FaultStats::publish(obs::MetricsRegistry& registry) const {
   registry.counter("faults/fallback_retries").add(fallback_retries);
 }
 
-FaultStats FaultStats::from_snapshot(const obs::MetricsSnapshot& snap) {
-  FaultStats stats;
-  stats.stuck_episodes = snap.counter_or("faults/stuck_episodes");
-  stats.stuck_time_s = snap.gauge_or("faults/stuck_time_s");
-  stats.dropped_requests = snap.counter_or("faults/dropped_requests");
-  stats.transient_failures = snap.counter_or("faults/transient_failures");
-  stats.transient_retries = snap.counter_or("faults/transient_retries");
-  stats.jittered_switches = snap.counter_or("faults/jittered_switches");
-  stats.latency_spikes = snap.counter_or("faults/latency_spikes");
-  stats.droop_episodes = snap.counter_or("faults/droop_episodes");
-  stats.sensor_dropouts = snap.counter_or("faults/sensor_dropouts");
-  stats.corrupted_reads = snap.counter_or("faults/corrupted_reads");
-  stats.detected_switch_failures =
-      snap.counter_or("faults/detected_switch_failures");
-  stats.fallback_episodes = snap.counter_or("faults/fallback_episodes");
-  stats.fallback_retries = snap.counter_or("faults/fallback_retries");
-  return stats;
-}
-
 }  // namespace capman::sim

@@ -44,10 +44,6 @@ struct FaultStats {
   /// Publish the counters into `registry` under faults/*. Cumulative over
   /// a run; publish once, when the run is over (the engine does).
   void publish(obs::MetricsRegistry& registry) const;
-  /// View over a registry snapshot (inverse of publish). Lets downstream
-  /// consumers (bench_robustness) read fault telemetry off
-  /// SimResult::metrics instead of a parallel struct.
-  static FaultStats from_snapshot(const obs::MetricsSnapshot& snap);
 };
 
 struct SimResult {

@@ -22,68 +22,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void TimeSeries::add(double t, double v) {
-  assert(t_.empty() || t >= t_.back());
-  t_.push_back(t);
-  v_.push_back(v);
-}
-
-void TimeSeries::reserve(std::size_t n) {
-  t_.reserve(n);
-  v_.reserve(n);
-}
-
-void TimeSeries::clear() {
-  t_.clear();
-  v_.clear();
-}
-
-double TimeSeries::integrate() const {
-  double acc = 0.0;
-  for (std::size_t i = 1; i < t_.size(); ++i) {
-    acc += 0.5 * (v_[i] + v_[i - 1]) * (t_[i] - t_[i - 1]);
-  }
-  return acc;
-}
-
-double TimeSeries::time_weighted_mean() const {
-  if (t_.size() < 2) return t_.empty() ? 0.0 : v_.front();
-  const double span = t_.back() - t_.front();
-  return span > 0.0 ? integrate() / span : v_.front();
-}
-
-double TimeSeries::max_value() const {
-  return v_.empty() ? 0.0 : *std::max_element(v_.begin(), v_.end());
-}
-
-double TimeSeries::min_value() const {
-  return v_.empty() ? 0.0 : *std::min_element(v_.begin(), v_.end());
-}
-
-TimeSeries TimeSeries::decimate(std::size_t n) const {
-  TimeSeries out;
-  if (t_.empty() || n == 0) return out;
-  if (t_.size() <= n) return *this;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t idx = i * (t_.size() - 1) / (n - 1 > 0 ? n - 1 : 1);
-    out.add(t_[idx], v_[idx]);
-  }
-  return out;
-}
-
-double TimeSeries::fraction_above(double threshold) const {
-  if (t_.size() < 2) return 0.0;
-  double above = 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i + 1 < t_.size(); ++i) {
-    const double dt = t_[i + 1] - t_[i];
-    total += dt;
-    if (v_[i] > threshold) above += dt;
-  }
-  return total > 0.0 ? above / total : 0.0;
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
   assert(hi > lo && bins > 0);

@@ -1,9 +1,12 @@
-// Streaming statistics and time-series containers for simulation metrics.
+// Streaming statistics for simulation metrics, plus the re-exported
+// obs::TimeSeries.
 #pragma once
 
 #include <cstddef>
 #include <limits>
 #include <vector>
+
+#include "obs/timeseries.h"
 
 namespace capman::util {
 
@@ -29,41 +32,10 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// A (time, value) series sampled by the simulator. Supports trapezoidal
-/// integration and decimation for plotting/CSV export.
-class TimeSeries {
- public:
-  void add(double t, double v);
-  void reserve(std::size_t n);
-  void clear();
-
-  [[nodiscard]] std::size_t size() const { return t_.size(); }
-  [[nodiscard]] bool empty() const { return t_.empty(); }
-  [[nodiscard]] double time_at(std::size_t i) const { return t_[i]; }
-  [[nodiscard]] double value_at(std::size_t i) const { return v_[i]; }
-  [[nodiscard]] const std::vector<double>& times() const { return t_; }
-  [[nodiscard]] const std::vector<double>& values() const { return v_; }
-
-  /// Trapezoidal integral over the whole series.
-  [[nodiscard]] double integrate() const;
-
-  /// Mean value weighted by time (integral / span); 0 for < 2 samples.
-  [[nodiscard]] double time_weighted_mean() const;
-
-  [[nodiscard]] double max_value() const;
-  [[nodiscard]] double min_value() const;
-
-  /// Uniformly subsample to at most n points (keeps first and last).
-  [[nodiscard]] TimeSeries decimate(std::size_t n) const;
-
-  /// Fraction of time the value exceeds `threshold` (piecewise-constant
-  /// interpretation: each sample holds until the next).
-  [[nodiscard]] double fraction_above(double threshold) const;
-
- private:
-  std::vector<double> t_;
-  std::vector<double> v_;
-};
+/// The stack's one (time, value) series type lives in obs (the bottom
+/// layer, so the sampler and the figure series share it); util re-exports
+/// it for the simulation-facing callers.
+using TimeSeries = obs::TimeSeries;
 
 /// Fixed-bin histogram over [lo, hi); out-of-range samples clamp into the
 /// edge bins.

@@ -11,8 +11,8 @@
 namespace capman::obs {
 namespace {
 
-DecisionRecord sample_record() {
-  DecisionRecord rec;
+DecisionEvent sample_record() {
+  DecisionEvent rec;
   rec.seq = 7;
   rec.t_s = 12.25;
   rec.policy = "CAPMAN";
@@ -67,7 +67,7 @@ TEST(DecisionTraceTest, FullRecordSerialisesEveryField) {
 }
 
 TEST(DecisionTraceTest, MissingDetailAndNaNBecomeNull) {
-  DecisionRecord rec = sample_record();
+  DecisionEvent rec = sample_record();
   rec.detail.reset();
   std::ostringstream out;
   JsonlDecisionSink::write_json_line(out, rec);
@@ -86,7 +86,7 @@ TEST(DecisionTraceTest, MissingDetailAndNaNBecomeNull) {
 }
 
 TEST(DecisionTraceTest, StringsAreEscaped) {
-  DecisionRecord rec = sample_record();
+  DecisionEvent rec = sample_record();
   rec.event = "weird\"name\\with\nnewline";
   std::ostringstream out;
   JsonlDecisionSink::write_json_line(out, rec);
@@ -107,7 +107,7 @@ TEST(DecisionTraceTest, BufferedSinkDrainsOnFlush) {
   JsonlDecisionSink sink{out};
   ASSERT_TRUE(sink.enabled());
   for (int i = 0; i < 10; ++i) {
-    DecisionRecord rec = sample_record();
+    DecisionEvent rec = sample_record();
     rec.seq = static_cast<std::uint64_t>(i);
     sink.record(rec);
   }

@@ -29,6 +29,12 @@ HealthConfig enabled_config() {
   return config;
 }
 
+/// `sample` stamped at simulation time `t`.
+StepSample at(double t, StepSample sample) {
+  sample.t_s = t;
+  return sample;
+}
+
 TEST(HealthRule, SlugsAreStable) {
   EXPECT_STREQ(to_string(HealthRule::kThermalRunaway), "thermal_runaway");
   EXPECT_STREQ(to_string(HealthRule::kBudgetStarvation), "budget_starvation");
@@ -68,15 +74,15 @@ TEST(HealthConfigValidate, FieldMessagesAreLocked) {
 
 TEST(HealthMonitor, GuardAlertIsEdgeTriggeredAndRearms) {
   HealthMonitor monitor{enabled_config()};
-  HealthMonitor::Inputs inputs;
+  StepSample inputs;
 
-  inputs.guard_engaged = true;
-  EXPECT_EQ(monitor.evaluate(0.0, inputs).size(), 1u);
-  EXPECT_EQ(monitor.evaluate(2.0, inputs).size(), 0u);  // still engaged
-  inputs.guard_engaged = false;
-  EXPECT_EQ(monitor.evaluate(4.0, inputs).size(), 0u);  // cleared, re-armed
-  inputs.guard_engaged = true;
-  EXPECT_EQ(monitor.evaluate(6.0, inputs).size(), 1u);  // second episode
+  inputs.guard = true;
+  EXPECT_EQ(monitor.evaluate(at(0.0, inputs)).size(), 1u);
+  EXPECT_EQ(monitor.evaluate(at(2.0, inputs)).size(), 0u);  // still engaged
+  inputs.guard = false;
+  EXPECT_EQ(monitor.evaluate(at(4.0, inputs)).size(), 0u);  // cleared, re-armed
+  inputs.guard = true;
+  EXPECT_EQ(monitor.evaluate(at(6.0, inputs)).size(), 1u);  // second episode
 
   const auto& stats = monitor.stats();
   EXPECT_EQ(stats.alerts[static_cast<std::size_t>(HealthRule::kGuardEngaged)],
@@ -93,7 +99,7 @@ TEST(HealthMonitor, ThermalRunawayNeedsFloorAndFullWindow) {
   config.thermal_slope_c_per_min = 3.0;
   config.thermal_floor_c = 40.0;
   HealthMonitor monitor{config};
-  HealthMonitor::Inputs inputs;
+  StepSample inputs;
 
   // 1 C per 2 s = 30 C/min, far past the slope limit — but only alert
   // once the temperature clears the warm-up floor AND the window spans
@@ -102,7 +108,7 @@ TEST(HealthMonitor, ThermalRunawayNeedsFloorAndFullWindow) {
   for (int i = 0; i < 10; ++i) {
     inputs.skin_c = 30.0 + i;
     inputs.cell_c = 25.0;  // max(skin, cell) picks the skin trace
-    const auto& fired = monitor.evaluate(2.0 * i, inputs);
+    const auto& fired = monitor.evaluate(at(2.0 * i, inputs));
     if (!fired.empty() && fired_at_eval == 0) {
       fired_at_eval = static_cast<std::size_t>(i);
       EXPECT_EQ(fired[0].rule, HealthRule::kThermalRunaway);
@@ -116,7 +122,7 @@ TEST(HealthMonitor, ThermalRunawayNeedsFloorAndFullWindow) {
   EXPECT_EQ(monitor.alerts().size(), 0u);
 
   inputs.skin_c = 41.0;
-  const auto& fired = monitor.evaluate(20.0, inputs);
+  const auto& fired = monitor.evaluate(at(20.0, inputs));
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].rule, HealthRule::kThermalRunaway);
 }
@@ -126,19 +132,19 @@ TEST(HealthMonitor, BudgetStarvationNeedsConsecutiveWindows) {
   config.starvation_ratio = 0.5;
   config.starvation_windows = 3;
   HealthMonitor monitor{config};
-  HealthMonitor::Inputs inputs;
+  StepSample inputs;
   inputs.budget_active = true;
-  inputs.demand_mw = 4000.0;
+  inputs.demand_w = 4.0;  // 4000 mW
   inputs.granted_mw = 1000.0;  // 25% of demand: starved
 
-  EXPECT_TRUE(monitor.evaluate(0.0, inputs).empty());
-  EXPECT_TRUE(monitor.evaluate(2.0, inputs).empty());
+  EXPECT_TRUE(monitor.evaluate(at(0.0, inputs)).empty());
+  EXPECT_TRUE(monitor.evaluate(at(2.0, inputs)).empty());
   inputs.granted_mw = 3000.0;  // relief resets the consecutive count
-  EXPECT_TRUE(monitor.evaluate(4.0, inputs).empty());
+  EXPECT_TRUE(monitor.evaluate(at(4.0, inputs)).empty());
   inputs.granted_mw = 1000.0;
-  EXPECT_TRUE(monitor.evaluate(6.0, inputs).empty());
-  EXPECT_TRUE(monitor.evaluate(8.0, inputs).empty());
-  const auto& fired = monitor.evaluate(10.0, inputs);  // third in a row
+  EXPECT_TRUE(monitor.evaluate(at(6.0, inputs)).empty());
+  EXPECT_TRUE(monitor.evaluate(at(8.0, inputs)).empty());
+  const auto& fired = monitor.evaluate(at(10.0, inputs));  // third in a row
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].rule, HealthRule::kBudgetStarvation);
   EXPECT_DOUBLE_EQ(fired[0].value, 0.25);
@@ -148,7 +154,7 @@ TEST(HealthMonitor, BudgetStarvationNeedsConsecutiveWindows) {
   HealthMonitor unbudgeted{config};
   inputs.budget_active = false;
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(unbudgeted.evaluate(2.0 * i, inputs).empty());
+    EXPECT_TRUE(unbudgeted.evaluate(at(2.0 * i, inputs)).empty());
   }
 }
 
@@ -157,13 +163,13 @@ TEST(HealthMonitor, SwitchThrashDifferencesTheCumulativeCount) {
   config.thrash_window_s = 20.0;
   config.thrash_rate_per_min = 12.0;
   HealthMonitor monitor{config};
-  HealthMonitor::Inputs inputs;
+  StepSample inputs;
 
   // One switch per 2 s tick = 30 switches/min once the window fills.
   std::size_t alerts = 0;
   for (int i = 0; i < 10; ++i) {
     inputs.switch_count = static_cast<std::uint64_t>(i);
-    alerts += monitor.evaluate(2.0 * i, inputs).size();
+    alerts += monitor.evaluate(at(2.0 * i, inputs)).size();
   }
   EXPECT_EQ(alerts, 1u);
   ASSERT_EQ(monitor.alerts().size(), 1u);
@@ -176,7 +182,7 @@ TEST(HealthMonitor, TimeToEmptyFirstPassageFiresOnce) {
   config.tte_window_s = 10.0;
   config.tte_watermark_s = 120.0;
   HealthMonitor monitor{config};
-  HealthMonitor::Inputs inputs;
+  StepSample inputs;
 
   EXPECT_TRUE(std::isinf(monitor.time_to_empty_s()));
   // SoC falls 0.01 per 2 s tick: slope 0.005/s. TTE = soc / 0.005, which
@@ -185,7 +191,7 @@ TEST(HealthMonitor, TimeToEmptyFirstPassageFiresOnce) {
   double alert_t = -1.0;
   for (int i = 0; i < 40; ++i) {
     inputs.soc = 0.9 - 0.01 * i;
-    const auto& fired = monitor.evaluate(2.0 * i, inputs);
+    const auto& fired = monitor.evaluate(at(2.0 * i, inputs));
     if (!fired.empty() && alert_t < 0.0) alert_t = fired[0].t_s;
     alerts += fired.size();
   }
@@ -210,12 +216,18 @@ TEST(HealthStats, MergeAndRegistryRoundTrip) {
   EXPECT_EQ(a.evaluations, 15u);
   EXPECT_EQ(a.total_alerts(), 8u);
 
+  // publish() is the one route into the registry: every field lands
+  // under its health/* name.
   MetricsRegistry registry;
   a.publish(registry);
-  const HealthStats back = HealthStats::from_snapshot(registry.snapshot());
-  EXPECT_EQ(back.evaluations, a.evaluations);
-  EXPECT_EQ(back.alerts, a.alerts);
-  EXPECT_EQ(registry.snapshot().counter_or("health/alerts_total"), 8u);
+  const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter_or("health/evaluations"), a.evaluations);
+  for (std::size_t i = 0; i < kHealthRuleCount; ++i) {
+    const auto rule = static_cast<HealthRule>(i);
+    EXPECT_EQ(snap.counter_or(std::string("health/alerts/") + to_string(rule)),
+              a.alerts[i]);
+  }
+  EXPECT_EQ(snap.counter_or("health/alerts_total"), 8u);
 }
 
 TEST(HealthMonitor, AlertJsonLineIsPinned) {

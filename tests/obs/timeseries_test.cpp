@@ -1,7 +1,9 @@
 // TimeSeries / MetricsSampler contracts (src/obs/timeseries.h): the
 // stride-downsampling ring keeps bounded memory with a retained set that
-// is a pure function of the add() sequence, and the sampler keeps every
-// channel on one shared cadence so exported CSV rows align by column.
+// is a pure function of the add() sequence, an unbounded series keeps
+// everything, and the sampler keeps every channel on one shared cadence
+// so exported CSV rows align by column. The append/decimate/fraction_above
+// cases of the same class run in tests/util/stats_test.cpp.
 #include "obs/timeseries.h"
 
 #include <gtest/gtest.h>
@@ -23,11 +25,10 @@ TEST(TimeSeries, CapacityBelowTwoThrows) {
 TEST(TimeSeries, KeepsEverySampleUntilFull) {
   TimeSeries series{4};
   for (int i = 0; i < 4; ++i) {
-    series.add(util::Seconds{static_cast<double>(i)}, 10.0 * i);
+    series.add(static_cast<double>(i), 10.0 * i);
   }
   EXPECT_EQ(series.size(), 4u);
   EXPECT_EQ(series.stride(), 1u);
-  EXPECT_EQ(series.total_offered(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(series.time_at(i), static_cast<double>(i));
     EXPECT_DOUBLE_EQ(series.value_at(i), 10.0 * static_cast<double>(i));
@@ -40,7 +41,7 @@ TEST(TimeSeries, OverflowCompactsAndDoublesStride) {
   // doubles the stride to 2, and appends index 4 (4 % 2 == 0).
   TimeSeries series{4};
   for (int i = 0; i <= 6; ++i) {
-    series.add(util::Seconds{static_cast<double>(i)}, static_cast<double>(i));
+    series.add(static_cast<double>(i), static_cast<double>(i));
   }
   EXPECT_EQ(series.stride(), 2u);
   EXPECT_EQ(series.times(), (std::vector<double>{0.0, 2.0, 4.0, 6.0}));
@@ -51,11 +52,10 @@ TEST(TimeSeries, RepeatedOverflowKeepsStrideMultiples) {
   // always multiples of the current stride, oldest sample is index 0.
   TimeSeries series{4};
   for (int i = 0; i <= 16; ++i) {
-    series.add(util::Seconds{static_cast<double>(i)}, static_cast<double>(i));
+    series.add(static_cast<double>(i), static_cast<double>(i));
   }
   EXPECT_EQ(series.stride(), 8u);
   EXPECT_EQ(series.times(), (std::vector<double>{0.0, 8.0, 16.0}));
-  EXPECT_EQ(series.total_offered(), 17u);
   // Never exceeded capacity along the way.
   EXPECT_LE(series.size(), series.capacity());
 }
@@ -68,8 +68,8 @@ TEST(TimeSeries, RetainedSetIsAPureFunctionOfTheAddSequence) {
   for (int i = 0; i < 1000; ++i) {
     const double t = 0.25 * i;
     const double v = (i * 7919) % 104729;  // deterministic, non-monotonic
-    a.add(util::Seconds{t}, v);
-    b.add(util::Seconds{t}, v);
+    a.add(t, v);
+    b.add(t, v);
   }
   EXPECT_EQ(a.stride(), b.stride());
   ASSERT_EQ(a.size(), b.size());
@@ -81,15 +81,27 @@ TEST(TimeSeries, RetainedSetIsAPureFunctionOfTheAddSequence) {
 
 TEST(TimeSeries, SummaryHelpersTrackRetainedSamples) {
   TimeSeries series{8};
-  EXPECT_DOUBLE_EQ(series.last_time(), 0.0);
   EXPECT_DOUBLE_EQ(series.min_value(), 0.0);
-  series.add(util::Seconds{1.0}, 5.0);
-  series.add(util::Seconds{2.0}, -3.0);
-  series.add(util::Seconds{3.0}, 9.0);
-  EXPECT_DOUBLE_EQ(series.last_time(), 3.0);
-  EXPECT_DOUBLE_EQ(series.last_value(), 9.0);
+  series.add(1.0, 5.0);
+  series.add(2.0, -3.0);
+  series.add(3.0, 9.0);
   EXPECT_DOUBLE_EQ(series.min_value(), -3.0);
   EXPECT_DOUBLE_EQ(series.max_value(), 9.0);
+}
+
+TEST(TimeSeries, UnboundedSeriesNeverCompacts) {
+  // The default-constructed shape (the figure series): every sample is
+  // kept, in order, however long the run.
+  TimeSeries series;
+  EXPECT_EQ(series.capacity(), TimeSeries::kUnbounded);
+  constexpr std::size_t kSamples = 100000;
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    series.add(0.5 * static_cast<double>(i), static_cast<double>(i));
+  }
+  EXPECT_EQ(series.size(), kSamples);
+  EXPECT_EQ(series.stride(), 1u);
+  EXPECT_DOUBLE_EQ(series.time_at(kSamples - 1), 0.5 * (kSamples - 1));
+  EXPECT_DOUBLE_EQ(series.value_at(kSamples - 1), kSamples - 1.0);
 }
 
 SamplerConfig enabled_config() {
@@ -141,28 +153,6 @@ TEST(MetricsSampler, ChannelsShareOneCadence) {
   EXPECT_EQ(sampler.samples_taken(), 5u);  // t = 0, 2, 4, 6, 8
   EXPECT_EQ(sampler.series(soc).size(), sampler.series(power).size());
   EXPECT_EQ(sampler.series(soc).times(), sampler.series(power).times());
-}
-
-TEST(MetricsSampler, BoundInstrumentsAreReadAtTheTick) {
-  MetricsRegistry registry;
-  Counter& steps = registry.counter("engine/steps");
-  Gauge& temp = registry.gauge("thermal/hotspot_c");
-
-  MetricsSampler sampler{enabled_config()};
-  const std::size_t c = sampler.bind_counter("steps", steps);
-  const std::size_t g = sampler.bind_gauge("hotspot", temp);
-
-  steps.add(3);
-  temp.set(41.5);
-  sampler.sample(util::Seconds{0.0});
-  steps.add(4);
-  temp.set(44.0);
-  sampler.sample(util::Seconds{2.0});
-
-  EXPECT_DOUBLE_EQ(sampler.series(c).value_at(0), 3.0);
-  EXPECT_DOUBLE_EQ(sampler.series(c).value_at(1), 7.0);
-  EXPECT_DOUBLE_EQ(sampler.series(g).value_at(0), 41.5);
-  EXPECT_DOUBLE_EQ(sampler.series(g).value_at(1), 44.0);
 }
 
 TEST(MetricsSampler, FindLocatesChannelsByName) {

@@ -47,24 +47,6 @@ TEST(RunningStats, NegativeValues) {
   EXPECT_DOUBLE_EQ(s.max(), 5.0);
 }
 
-TEST(TimeSeries, IntegrateTrapezoid) {
-  TimeSeries ts;
-  ts.add(0.0, 0.0);
-  ts.add(1.0, 2.0);
-  ts.add(3.0, 2.0);
-  // 0..1: area 1; 1..3: area 4.
-  EXPECT_DOUBLE_EQ(ts.integrate(), 5.0);
-}
-
-TEST(TimeSeries, TimeWeightedMean) {
-  TimeSeries ts;
-  ts.add(0.0, 1.0);
-  ts.add(2.0, 1.0);
-  ts.add(4.0, 3.0);
-  // integral = 2 + 4 = 6 over span 4.
-  EXPECT_DOUBLE_EQ(ts.time_weighted_mean(), 1.5);
-}
-
 TEST(TimeSeries, MinMax) {
   TimeSeries ts;
   ts.add(0.0, 2.0);
@@ -77,9 +59,9 @@ TEST(TimeSeries, MinMax) {
 TEST(TimeSeries, EmptyBehaviour) {
   TimeSeries ts;
   EXPECT_TRUE(ts.empty());
-  EXPECT_DOUBLE_EQ(ts.integrate(), 0.0);
-  EXPECT_DOUBLE_EQ(ts.time_weighted_mean(), 0.0);
   EXPECT_DOUBLE_EQ(ts.max_value(), 0.0);
+  EXPECT_DOUBLE_EQ(ts.fraction_above(0.0), 0.0);
+  EXPECT_TRUE(ts.decimate(4).empty());
 }
 
 TEST(TimeSeries, DecimateKeepsEndpoints) {
