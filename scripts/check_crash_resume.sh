@@ -8,9 +8,9 @@
 #   scripts/check_crash_resume.sh [path-to-capman_fleet]
 #
 # Registered as the crash_resume_check CTest gate and run by
-# check_all.sh (full mode). The environment hook CAPMAN_CRASH_AFTER_SHARDS
-# injects the crash into the stock binary (sim::FleetConfig::
-# crash_after_shards carries the same knob for in-process tests).
+# check_all.sh (full mode). capman_fleet --crash-after 3 injects the crash
+# into the stock binary (it sets sim::FleetConfig::crash_after_shards, the
+# knob in-process tests use).
 set -u
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -53,7 +53,7 @@ for combo in "8 2" "5 1"; do
 
   # Crash mid-campaign: the run must die by SIGKILL (exit 137), leaving
   # a partial checkpoint behind.
-  CAPMAN_CRASH_AFTER_SHARDS=3 "$fleet" --devices "$devices" \
+  "$fleet" --crash-after 3 --devices "$devices" \
       --shards "$shards" --threads "$threads" \
       --checkpoint-dir "$crash_dir" --checkpoint-every 2 --json \
       >/dev/null 2>&1
@@ -111,7 +111,7 @@ $(cat "$workdir/resumed.err"))"
   # Corrupt tail: flip bytes inside the last frame; same requirement.
   crash2_dir="$workdir/corrupt-$shards-$threads"
   mkdir -p "$crash2_dir"
-  CAPMAN_CRASH_AFTER_SHARDS=3 "$fleet" --devices "$devices" \
+  "$fleet" --crash-after 3 --devices "$devices" \
       --shards "$shards" --threads "$threads" \
       --checkpoint-dir "$crash2_dir" --checkpoint-every 2 --json \
       >/dev/null 2>&1
@@ -136,7 +136,7 @@ done
 # (exit 1 with the fingerprint message), not silently merge foreign state.
 refuse_dir="$workdir/refuse"
 mkdir -p "$refuse_dir"
-CAPMAN_CRASH_AFTER_SHARDS=3 "$fleet" --devices "$devices" --shards 8 \
+"$fleet" --crash-after 3 --devices "$devices" --shards 8 \
     --threads 2 --checkpoint-dir "$refuse_dir" --checkpoint-every 2 \
     --json >/dev/null 2>&1
 "$fleet" --devices "$devices" --shards 8 --threads 2 --seed 7 \

@@ -32,19 +32,18 @@ OraclePolicy::OraclePolicy(const OracleConfig& config) : config_(config) {
 }
 
 double OraclePolicy::interval_cost(battery::Cell cell, double avg_w,
-                                   double peak_w, double duration_s) const {
+                                   double duration_s) const {
   const double charge_before =
       cell.available_charge().value() + cell.bound_charge().value();
   if (charge_before <= 0.0) return 1e18;
   const double horizon = std::min(duration_s, config_.lookahead_cap_s);
-  // Approximate the interval as a peak spike (the event surge) followed by
-  // the average draw; 100 ms steps keep the surge transient visible.
+  // Serve the interval's average draw in 100 ms steps, which keep the
+  // cell's surge transient visible.
   const util::Seconds dt{0.1};
   double t = 0.0;
   bool browned_out = false;
   while (t < horizon) {
-    const double w = t < 0.5 ? peak_w : avg_w;
-    const auto r = cell.draw(util::Watts{w}, dt);
+    const auto r = cell.draw(util::Watts{avg_w}, dt);
     if (r.brownout) browned_out = true;
     t += dt.value();
   }
@@ -70,13 +69,10 @@ battery::BatterySelection OraclePolicy::on_event(
   if (pack.big_cell().exhausted()) return battery::BatterySelection::kLittle;
 
   const double avg = context.interval_avg_w;
-  const double peak = std::max(context.interval_peak_w, avg);
   const double dur = std::max(context.interval_duration_s, 0.2);
 
-  double cost_big =
-      interval_cost(pack.big_cell(), avg, peak, dur);
-  double cost_little =
-      interval_cost(pack.little_cell(), avg, peak, dur);
+  double cost_big = interval_cost(pack.big_cell(), avg, dur);
+  double cost_little = interval_cost(pack.little_cell(), avg, dur);
 
   // Reserve LITTLE headroom for future surges unless big cannot serve.
   if (pack.little_cell().soc() < config_.little_reserve_soc &&

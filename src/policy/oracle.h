@@ -39,7 +39,7 @@ class OraclePolicy final : public BatteryPolicy {
  private:
   /// Marginal cost of serving the interval from `cell` (a copy, mutated).
   [[nodiscard]] double interval_cost(battery::Cell cell, double avg_w,
-                                     double peak_w, double duration_s) const;
+                                     double duration_s) const;
 
   OracleConfig config_;
 };

@@ -43,7 +43,6 @@ struct PolicyContext {
   // Clairvoyant fields, filled by the engine from the (known) trace. Only
   // the offline Oracle may read them; online policies must ignore them.
   double interval_avg_w = 0.0;
-  double interval_peak_w = 0.0;
   double interval_duration_s = 0.0;
   const battery::DualBatteryPack* pack = nullptr;  // null on single packs
 };

@@ -194,7 +194,8 @@ SimResult SimEngine::run(const workload::Trace& trace,
 
   while (t < config_.max_duration.value()) {
     const bool fired = cursor.advance(t);
-    const device::DeviceDemand& demand = cursor.demand_at(t);
+    const workload::TraceEvent& event = cursor.current();
+    const device::DeviceDemand& demand = event.demand;
     // Budget shaping: each consumer trims its slice of the raw demand
     // under the cap it was granted; the raw-minus-shaped draw is the shed
     // power (user-visible throttling the budget bought safety with).
@@ -247,7 +248,6 @@ SimResult SimEngine::run(const workload::Trace& trace,
       ctx.emergency = emergency && !fired;
       if (ctx.emergency) ++emergency_consults;
       ctx.interval_avg_w = comp.total().value();
-      ctx.interval_peak_w = comp.total().value();
       ctx.interval_duration_s = cursor.next_event_time(t) - t;
       ctx.pack = dual;
       if (rig) {
@@ -255,8 +255,7 @@ SimResult SimEngine::run(const workload::Trace& trace,
         ctx.granted_budget_mw = rig->arbiter.last_grant().granted_mw.raw();
         ctx.budget_level = budget_level;
       }
-      const workload::Action& action = cursor.action_at(t);
-      const auto choice = policy.on_event(ctx, action);
+      const auto choice = policy.on_event(ctx, event.action);
       source->request(choice, util::Seconds{t});
       last_consult_s = t;
       if (rig) {
@@ -277,8 +276,8 @@ SimResult SimEngine::run(const workload::Trace& trace,
         ev.t_s = t;
         ev.policy = result.policy.c_str();
         ev.event = ctx.emergency ? "rail-monitor"
-                                 : workload::to_string(action.kind);
-        ev.param = static_cast<int>(action.param_bucket);
+                                 : workload::to_string(event.action.kind);
+        ev.param = static_cast<int>(event.action.param_bucket);
         ev.emergency = ctx.emergency;
         ev.cpu = device::to_string(ctx.device.cpu);
         ev.screen = device::to_string(ctx.device.screen);

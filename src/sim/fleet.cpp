@@ -4,7 +4,6 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -349,10 +348,6 @@ FleetRunner::FleetRunner(FleetConfig config) : config_(std::move(config)) {
   shards_ = util::resolve_shard_count(config_.shard_count,
                                       config_.device_count);
   threads_ = util::resolve_thread_count(config_.threads);
-  crash_after_ = config_.crash_after_shards;
-  if (const char* env = std::getenv("CAPMAN_CRASH_AFTER_SHARDS")) {
-    crash_after_ = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
 }
 
 std::uint64_t FleetRunner::device_seed(std::uint64_t fleet_seed,
@@ -662,7 +657,8 @@ FleetResult FleetRunner::run() const {
   }
 
   ShardSupervisor supervisor{shards_, config_.checkpoint.every_shards,
-                             crash_after_, writer ? &*writer : nullptr};
+                             config_.crash_after_shards,
+                             writer ? &*writer : nullptr};
   for (std::size_t shard = 0; shard < shards_; ++shard) {
     if (resumed[shard] != 0) supervisor.mark_resumed(shard);
   }

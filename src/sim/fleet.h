@@ -185,9 +185,9 @@ struct FleetConfig {
 
   // Crash-injection test hook: after this many shards complete in this
   // process, the runner raises SIGKILL — the crash the checkpoint layer
-  // must survive. 0 = never. The CAPMAN_CRASH_AFTER_SHARDS environment
-  // variable overrides it, so shell gates can inject crashes into stock
-  // binaries (scripts/check_crash_resume.sh).
+  // must survive. 0 = never. capman_fleet --crash-after N sets it, so
+  // shell gates can inject crashes into stock binaries
+  // (scripts/check_crash_resume.sh).
   std::size_t crash_after_shards = 0;
 
   // Supervision test hooks: these device ids throw from inside the
@@ -377,9 +377,6 @@ class FleetRunner {
   FleetConfig config_;
   std::size_t shards_ = 1;
   std::size_t threads_ = 1;
-  // Effective crash-injection threshold: config_.crash_after_shards,
-  // overridden by CAPMAN_CRASH_AFTER_SHARDS (read once at construction).
-  std::size_t crash_after_ = 0;
 };
 
 }  // namespace capman::sim

@@ -1,6 +1,36 @@
 #include "thermal/phone_thermal.h"
 
+#include <algorithm>
+#include <cassert>
+#include <cmath>
+#include <cstddef>
+
 namespace capman::thermal {
+namespace {
+
+enum Node : std::size_t { kCpu, kBoard, kBattery, kSurface, kAmbient };
+constexpr std::size_t kFree = kAmbient;  // nodes with a heat capacity
+constexpr std::size_t kNodes = kAmbient + 1;
+
+struct Edge {
+  Node a;
+  Node b;
+  double PhoneThermalConfig::*conductance;
+};
+
+// The network's six edges. Their order fixes the floating-point summation
+// order of every node's flux; reordering them may move simulated numbers in
+// the last bit.
+constexpr std::array<Edge, 6> kEdges{{
+    {kCpu, kBoard, &PhoneThermalConfig::cpu_board},
+    {kCpu, kSurface, &PhoneThermalConfig::cpu_surface},
+    {kBoard, kSurface, &PhoneThermalConfig::board_surface},
+    {kBattery, kBoard, &PhoneThermalConfig::battery_board},
+    {kBattery, kSurface, &PhoneThermalConfig::battery_surface},
+    {kSurface, kAmbient, &PhoneThermalConfig::surface_ambient},
+}};
+
+}  // namespace
 
 std::vector<std::string> PhoneThermalConfig::validate() const {
   std::vector<std::string> errors;
@@ -24,58 +54,80 @@ std::vector<std::string> PhoneThermalConfig::validate() const {
 PhoneThermal::PhoneThermal(const PhoneThermalConfig& config,
                            const TecParams& tec_params)
     : tec_(tec_params) {
-  cpu_ = network_.add_node("cpu", config.cpu_capacity, config.ambient);
-  board_ = network_.add_node("board", config.board_capacity, config.ambient);
-  battery_ =
-      network_.add_node("battery", config.battery_capacity, config.ambient);
-  surface_ =
-      network_.add_node("surface", config.surface_capacity, config.ambient);
-  ambient_ = network_.add_fixed_node("ambient", config.ambient);
-
-  network_.add_edge(cpu_, board_, config.cpu_board);
-  network_.add_edge(cpu_, surface_, config.cpu_surface);
-  network_.add_edge(board_, surface_, config.board_surface);
-  network_.add_edge(battery_, board_, config.battery_board);
-  network_.add_edge(battery_, surface_, config.battery_surface);
-  network_.add_edge(surface_, ambient_, config.surface_ambient);
+  temperature_c_.fill(config.ambient.value());
+  capacity_j_per_k_ = {config.cpu_capacity, config.board_capacity,
+                       config.battery_capacity, config.surface_capacity};
+  // Explicit Euler is stable for h < C_i / (sum of conductances at i).
+  std::array<double, kNodes> g_sum{};
+  for (std::size_t e = 0; e < kEdges.size(); ++e) {
+    const double g = config.*kEdges[e].conductance;
+    conductance_w_per_k_[e] = g;
+    g_sum[kEdges[e].a] += g;
+    g_sum[kEdges[e].b] += g;
+  }
+  double bound = 1e9;
+  for (std::size_t i = 0; i < kFree; ++i) {
+    if (g_sum[i] > 0.0) {
+      bound = std::min(bound, capacity_j_per_k_[i] / g_sum[i]);
+    }
+  }
+  max_substep_s_ = 0.05 * bound;
 }
 
 util::Watts PhoneThermal::step(util::Watts cpu_power,
                                util::Watts battery_heat,
                                util::Watts other_power, util::Seconds dt) {
-  network_.inject(cpu_, cpu_power);
-  network_.inject(battery_, battery_heat);
-  // Screen/WiFi power dissipates into the board/surface region.
-  network_.inject(board_, other_power);
+  // Heat per free node (cpu, board, battery, surface). Screen/WiFi power
+  // dissipates into the board/surface region.
+  std::array<double, kFree> heat_w{cpu_power.value(), other_power.value(),
+                                   battery_heat.value(), 0.0};
 
   util::Watts tec_power{0.0};
   const util::Amperes i = tec_.operating_current();
   if (i.value() > 0.0) {
     // Cold side on the CPU die, hot side against the back-cover spreader
     // (the surface node), which has the strongest path to ambient.
-    const util::Celsius cold = network_.temperature(cpu_);
-    const util::Celsius hot = network_.temperature(surface_);
+    const util::Celsius cold{temperature_c_[kCpu]};
+    const util::Celsius hot{temperature_c_[kSurface]};
     const util::Watts pumped = tec_.heat_pumped(cold, hot, i);
     tec_power = tec_.electric_power(cold, hot, i);
-    network_.inject(cpu_, -pumped);
-    network_.inject(surface_, pumped + tec_power);
+    heat_w[kCpu] -= pumped.value();
+    heat_w[kSurface] += (pumped + tec_power).value();
   }
-  network_.step(dt);
+
+  const double total = dt.value();
+  assert(total > 0.0);
+  const int substeps =
+      std::max(1, static_cast<int>(std::ceil(total / max_substep_s_)));
+  const double h = total / substeps;
+  for (int s = 0; s < substeps; ++s) {
+    std::array<double, kNodes> flux{};
+    for (std::size_t e = 0; e < kEdges.size(); ++e) {
+      const Edge& edge = kEdges[e];
+      const double q = conductance_w_per_k_[e] *
+                       (temperature_c_[edge.a] - temperature_c_[edge.b]);
+      flux[edge.a] -= q;
+      flux[edge.b] += q;
+    }
+    for (std::size_t n = 0; n < kFree; ++n) {
+      temperature_c_[n] += h * (flux[n] + heat_w[n]) / capacity_j_per_k_[n];
+    }
+  }
   return tec_power;
 }
 
 util::Celsius PhoneThermal::cpu_temperature() const {
-  return network_.temperature(cpu_);
+  return util::Celsius{temperature_c_[kCpu]};
 }
 util::Celsius PhoneThermal::surface_temperature() const {
-  return network_.temperature(surface_);
+  return util::Celsius{temperature_c_[kSurface]};
 }
 util::Celsius PhoneThermal::battery_temperature() const {
-  return network_.temperature(battery_);
+  return util::Celsius{temperature_c_[kBattery]};
 }
 
 void PhoneThermal::reset(util::Celsius temperature) {
-  network_.reset(temperature);
+  std::fill_n(temperature_c_.begin(), kFree, temperature.value());
   tec_.turn_off();
 }
 

@@ -1,13 +1,23 @@
 // The standard smartphone thermal stack used across all experiments
 // (paper Fig. 6 top: CPU is the hot spot; TEC sits on the CPU and rejects
-// into the board; the surface is what the 45 C skin-temperature limit
+// into the back cover; the surface is what the 45 C skin-temperature limit
 // guards).
+//
+// One fixed lumped-parameter (RC) network: cpu, board, battery and surface
+// carry a heat capacity C_i [J/K]; ambient is isothermal; six conductances
+// [W/K] join them (cpu-board, cpu-surface, board-surface, battery-board,
+// battery-surface, surface-ambient). Integration is explicit Euler. Each
+// step() splits dt into the fewest equal substeps no longer than
+// 0.05 * min_i C_i / sum_j G_ij, i.e. 0.05x the explicit-Euler stability
+// bound: small steps for accuracy, not just stability (about 2% error per
+// time constant). The network never changes, so that bound is computed
+// once, at construction. Heat injected in a step is held over its substeps.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
-#include "thermal/network.h"
 #include "thermal/tec.h"
 #include "util/units.h"
 
@@ -20,10 +30,10 @@ struct PhoneThermalConfig {
   double board_capacity = 20.0;
   double battery_capacity = 40.0;
   double surface_capacity = 15.0;
-  // Conductances [W/K]. The CPU is deliberately a high-resistance hot spot
-  // (die-to-sink ~11 K/W) while the surface sheds to ambient easily; spot
-  // cooling with a COP~0.5 TEC only pays off in exactly this regime, which
-  // is the situation paper Fig. 6 (top) depicts.
+  // Conductances [W/K]; 0 disconnects a pair. The CPU is deliberately a
+  // high-resistance hot spot (die-to-sink ~11 K/W) while the surface sheds
+  // to ambient easily; spot cooling with a COP~0.5 TEC only pays off in
+  // exactly this regime, which is the situation paper Fig. 6 (top) depicts.
   double cpu_board = 0.07;
   double cpu_surface = 0.02;
   double board_surface = 0.35;
@@ -37,7 +47,7 @@ struct PhoneThermalConfig {
 };
 
 /// The phone's thermal network plus the TEC mounted across CPU (cold side)
-/// and board (hot side).
+/// and surface (hot side).
 class PhoneThermal {
  public:
   explicit PhoneThermal(const PhoneThermalConfig& config = {},
@@ -56,16 +66,18 @@ class PhoneThermal {
   [[nodiscard]] Tec& tec() { return tec_; }
   [[nodiscard]] const Tec& tec() const { return tec_; }
 
+  /// Sets cpu, board, battery and surface to `temperature` and turns the
+  /// TEC off; ambient keeps its configured value.
   void reset(util::Celsius temperature);
 
  private:
-  ThermalNetwork network_;
+  // Indexed cpu, board, battery, surface, then ambient (temperature only).
+  std::array<double, 5> temperature_c_{};
+  std::array<double, 4> capacity_j_per_k_{};
+  // Indexed like the edge table in phone_thermal.cpp.
+  std::array<double, 6> conductance_w_per_k_{};
+  double max_substep_s_ = 0.0;
   Tec tec_;
-  NodeId cpu_;
-  NodeId board_;
-  NodeId battery_;
-  NodeId surface_;
-  NodeId ambient_;
 };
 
 }  // namespace capman::thermal

@@ -54,12 +54,9 @@ std::size_t TraceCursor::index_for(double t) const {
   return static_cast<std::size_t>(std::distance(events.begin(), it)) - 1;
 }
 
-const device::DeviceDemand& TraceCursor::demand_at(double t) const {
-  return trace_->events()[index_for(t)].demand;
-}
-
-const Action& TraceCursor::action_at(double t) const {
-  return trace_->events()[index_for(t)].action;
+const TraceEvent& TraceCursor::current() const {
+  assert(last_index_ < trace_->events().size());
+  return trace_->events()[last_index_];
 }
 
 double TraceCursor::next_event_time(double t) const {

@@ -62,20 +62,20 @@ class TraceBuilder {
 };
 
 /// A cursor that replays a trace, looping past the horizon. The simulator
-/// polls `demand_at`/`actions_between` as it advances.
+/// calls `advance` once per step and reads the event in force from
+/// `current`.
 class TraceCursor {
  public:
   explicit TraceCursor(const Trace& trace);
 
-  /// Demand in force at absolute time t (trace loops past its horizon).
-  [[nodiscard]] const device::DeviceDemand& demand_at(double t) const;
-
-  /// The last action fired at or before time t (what the profiler records).
-  [[nodiscard]] const Action& action_at(double t) const;
-
   /// Advance to time t and report whether a new event fired since the last
   /// call (the MDP observes transitions on events).
   bool advance(double t);
+
+  /// The event in force at the time of the last `advance` call: the last
+  /// event at or before it, looping past the horizon. Its demand holds
+  /// until the next event. Requires a prior `advance`.
+  [[nodiscard]] const TraceEvent& current() const;
 
   /// Absolute time of the next event strictly after t (looping).
   [[nodiscard]] double next_event_time(double t) const;

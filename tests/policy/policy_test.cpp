@@ -103,14 +103,12 @@ TEST(Oracle, RoutesSurgeToLittleAndSteadyToBig) {
   PolicyContext steady = context_with(1.2);
   steady.pack = &pack;
   steady.interval_avg_w = 1.2;
-  steady.interval_peak_w = 1.2;
   steady.interval_duration_s = 8.0;
   EXPECT_EQ(p.on_event(steady, Action{}), BatterySelection::kBig);
 
   PolicyContext surge = context_with(3.2);
   surge.pack = &pack;
   surge.interval_avg_w = 3.2;
-  surge.interval_peak_w = 3.2;
   surge.interval_duration_s = 0.8;
   EXPECT_EQ(p.on_event(surge, Action{}), BatterySelection::kLittle);
 }
@@ -130,7 +128,6 @@ TEST(Oracle, UsesSurvivorWhenOneCellIsExhausted) {
   PolicyContext ctx = context_with(3.0);
   ctx.pack = &pack;
   ctx.interval_avg_w = 3.0;
-  ctx.interval_peak_w = 3.0;
   ctx.interval_duration_s = 1.0;
   EXPECT_EQ(p.on_event(ctx, Action{}), BatterySelection::kBig);
 }
@@ -151,7 +148,6 @@ TEST(Oracle, ReservesLittleForSurges) {
   PolicyContext surge = context_with(2.5);
   surge.pack = &pack;
   surge.interval_avg_w = 2.5;
-  surge.interval_peak_w = 2.5;
   surge.interval_duration_s = 1.0;
   // Even a surge goes to big when LITTLE is below reserve and big can serve.
   EXPECT_EQ(p.on_event(surge, Action{}), BatterySelection::kBig);

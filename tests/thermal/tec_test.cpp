@@ -100,50 +100,6 @@ TEST(Tec, OnOffActuation) {
   EXPECT_FALSE(tec.is_on());
 }
 
-TEST(PhoneThermal, HeatsUpUnderCpuLoad) {
-  PhoneThermal phone;
-  for (int i = 0; i < 3000; ++i) {
-    phone.step(Watts{2.0}, Watts{0.3}, Watts{0.8}, Seconds{1.0});
-  }
-  EXPECT_GT(phone.cpu_temperature().value(), 40.0);
-  EXPECT_GT(phone.cpu_temperature().value(),
-            phone.surface_temperature().value());
-  EXPECT_GT(phone.surface_temperature().value(), 25.0);
-}
-
-TEST(PhoneThermal, TecCoolsTheCpuSpot) {
-  PhoneThermal with_tec;
-  PhoneThermal without_tec;
-  for (int i = 0; i < 3000; ++i) {
-    with_tec.tec().turn_on();
-    with_tec.step(Watts{2.0}, Watts{0.3}, Watts{0.8}, Seconds{1.0});
-    without_tec.step(Watts{2.0}, Watts{0.3}, Watts{0.8}, Seconds{1.0});
-  }
-  EXPECT_LT(with_tec.cpu_temperature().value(),
-            without_tec.cpu_temperature().value() - 1.0);
-}
-
-TEST(PhoneThermal, TecDrawsPowerWhenOn) {
-  PhoneThermal phone;
-  phone.tec().turn_on();
-  const auto p = phone.step(Watts{1.0}, Watts{0.2}, Watts{0.5}, Seconds{1.0});
-  EXPECT_GT(p.value(), 0.5);  // ~ I^2 R at rated current
-  phone.tec().turn_off();
-  const auto p_off =
-      phone.step(Watts{1.0}, Watts{0.2}, Watts{0.5}, Seconds{1.0});
-  EXPECT_DOUBLE_EQ(p_off.value(), 0.0);
-}
-
-TEST(PhoneThermal, ResetRestoresAmbient) {
-  PhoneThermal phone;
-  for (int i = 0; i < 100; ++i) {
-    phone.step(Watts{3.0}, Watts{0.5}, Watts{1.0}, Seconds{1.0});
-  }
-  phone.reset(Celsius{25.0});
-  EXPECT_DOUBLE_EQ(phone.cpu_temperature().value(), 25.0);
-  EXPECT_FALSE(phone.tec().is_on());
-}
-
 TEST(CoolingController, TurnsOnAboveThresholdOffBelowHysteresis) {
   PhoneThermal phone;
   CoolingController ctrl;

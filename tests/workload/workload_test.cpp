@@ -58,10 +58,19 @@ TEST(TraceCursor, DemandHoldsUntilNextEvent) {
   tb.add(5.0, {Syscall::kCpuBurst, 1}, demand_with_util(50));
   const Trace t = std::move(tb).build(10.0);
   TraceCursor cursor{t};
-  EXPECT_DOUBLE_EQ(cursor.demand_at(0.0).utilization, 10.0);
-  EXPECT_DOUBLE_EQ(cursor.demand_at(4.9).utilization, 10.0);
-  EXPECT_DOUBLE_EQ(cursor.demand_at(5.0).utilization, 50.0);
-  EXPECT_DOUBLE_EQ(cursor.demand_at(9.9).utilization, 50.0);
+  cursor.advance(0.0);
+  EXPECT_DOUBLE_EQ(cursor.current().demand.utilization, 10.0);
+  EXPECT_EQ(cursor.current().action.kind, Syscall::kAppLaunch);
+  cursor.advance(4.9);
+  EXPECT_DOUBLE_EQ(cursor.current().demand.utilization, 10.0);
+  EXPECT_EQ(cursor.current().action.kind, Syscall::kAppLaunch);
+  cursor.advance(5.0);
+  EXPECT_DOUBLE_EQ(cursor.current().demand.utilization, 50.0);
+  EXPECT_EQ(cursor.current().action.kind, Syscall::kCpuBurst);
+  EXPECT_EQ(cursor.current().action.param_bucket, 1);
+  cursor.advance(9.9);
+  EXPECT_DOUBLE_EQ(cursor.current().demand.utilization, 50.0);
+  EXPECT_EQ(cursor.current().action.kind, Syscall::kCpuBurst);
 }
 
 TEST(TraceCursor, LoopsPastHorizon) {
@@ -70,8 +79,12 @@ TEST(TraceCursor, LoopsPastHorizon) {
   tb.add(5.0, {Syscall::kCpuBurst, 1}, demand_with_util(50));
   const Trace t = std::move(tb).build(10.0);
   TraceCursor cursor{t};
-  EXPECT_DOUBLE_EQ(cursor.demand_at(12.0).utilization, 10.0);
-  EXPECT_DOUBLE_EQ(cursor.demand_at(17.0).utilization, 50.0);
+  cursor.advance(12.0);
+  EXPECT_DOUBLE_EQ(cursor.current().demand.utilization, 10.0);
+  EXPECT_EQ(cursor.current().action.kind, Syscall::kAppLaunch);
+  cursor.advance(17.0);
+  EXPECT_DOUBLE_EQ(cursor.current().demand.utilization, 50.0);
+  EXPECT_EQ(cursor.current().action.kind, Syscall::kCpuBurst);
 }
 
 TEST(TraceCursor, AdvanceFiresOncePerEvent) {
