@@ -1,12 +1,17 @@
 // Fleet scaling study (docs/FLEET.md, EXPERIMENTS.md "Fleet scaling"):
 // devices/sec throughput of sim::FleetRunner versus worker-thread count,
-// plus the bit-identity and memory-flatness checks that back the fleet
-// determinism and memory contracts.
+// engine steps/sec and devices/sec for every policy, plus the bit-identity
+// and memory-flatness checks that back the fleet determinism and memory
+// contracts.
 //
-// Four stages:
+// Five stages:
 //  1. Identity — the same fleet at 1 worker vs N workers must serialise
 //     to byte-identical metrics snapshots (hard failure otherwise).
 //  2. Thread curve — devices/sec at 10^4 devices for 1/2/4/8 workers.
+//  2a. Every policy — engine steps/sec and devices/sec for Dual, CAPMAN,
+//     Oracle, Heuristic and Practice, each alone on a small fleet, at 1
+//     and 2 workers. Steps/sec is the comparable figure: devices/sec
+//     depends on how long each policy keeps its devices alive.
 //  2b. Checkpoint overhead — the same fleet with and without periodic
 //     checkpoint writes (sim/checkpoint.h); reports the wall-clock cost
 //     of crash-safety as a percentage (report-only budget line).
@@ -19,13 +24,15 @@
 // harness, not the per-device physics.
 //
 // Modes: --smoke runs the identity check plus a 10^3-device mini curve
-// and exits 77 ("skipped") when the machine has fewer than 2 hardware
-// threads — the scaling curve is meaningless there, but the identity
-// check still runs first. --devices N overrides the headline size;
+// (and 16-device per-policy fleets instead of 64) and exits 77
+// ("skipped") when the machine has fewer than 2 hardware threads — the
+// scaling curve is meaningless there, but the identity check still runs
+// first. --devices N overrides the headline size;
 // --csv dumps bench_fleet_scaling.csv (one row per measured run).
 #include "bench_common.h"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <memory>
 #include <cstdlib>
@@ -198,6 +205,49 @@ int main(int argc, char** argv) {
                                      " devices: throughput vs threads");
   curve.print(std::cout);
 
+  // Stage 2a: every policy, alone, at 1 and 2 workers.
+  struct PolicyRate {
+    std::string key;  // lower-case policy name, the JSON key prefix
+    double steps_per_sec[2] = {0.0, 0.0};
+    double devices_per_sec[2] = {0.0, 0.0};
+  };
+  std::vector<PolicyRate> policy_rates;
+  {
+    const std::size_t policy_devices = smoke ? 16 : 64;
+    util::TextTable table{{"policy", "steps/s 1w", "steps/s 2w",
+                           "devices/s 1w", "devices/s 2w", "speedup 2w"}};
+    for (const sim::PolicyKind kind :
+         {sim::PolicyKind::kDual, sim::PolicyKind::kCapman,
+          sim::PolicyKind::kOracle, sim::PolicyKind::kHeuristic,
+          sim::PolicyKind::kPractice}) {
+      PolicyRate rate;
+      rate.key = sim::to_string(kind);
+      std::transform(rate.key.begin(), rate.key.end(), rate.key.begin(),
+                     [](unsigned char c) { return std::tolower(c); });
+      for (const std::size_t workers : {1u, 2u}) {
+        auto config = fleet_config(policy_devices, 0, workers, seed);
+        config.policies = {kind};
+        const auto run = run_timed(config);
+        const double steps = static_cast<double>(run.result.total_engine_steps);
+        rate.steps_per_sec[workers - 1] =
+            run.seconds > 0.0 ? steps / run.seconds : 0.0;
+        rate.devices_per_sec[workers - 1] = run.devices_per_sec();
+        record(run);
+      }
+      table.add_row(sim::to_string(kind),
+                    {rate.steps_per_sec[0], rate.steps_per_sec[1],
+                     rate.devices_per_sec[0], rate.devices_per_sec[1],
+                     rate.steps_per_sec[0] > 0.0
+                         ? rate.steps_per_sec[1] / rate.steps_per_sec[0]
+                         : 0.0});
+      policy_rates.push_back(std::move(rate));
+    }
+    util::print_section(std::cout, std::to_string(policy_devices) +
+                                       " devices: every policy, 1 and 2 "
+                                       "workers");
+    table.print(std::cout);
+  }
+
   // Stage 2b: checkpoint overhead budget. Same fleet with and without
   // durability (sim/checkpoint.h, every 4 shards); the wall-clock delta
   // is the price of crash-safety. Report-only — the regression baseline
@@ -253,6 +303,19 @@ int main(int argc, char** argv) {
       artifact.metric("dual_switches_per_dev", curve_dual->mean_switches());
     }
     artifact.metric("devices_per_sec_best", best_rate);
+    for (const PolicyRate& rate : policy_rates) {
+      // Practice phones brown out within a minute under this sub-scale
+      // preset, so their rates describe that defect, not the policy; they
+      // stay in the table above but out of the artifact.
+      if (rate.key == "practice") continue;
+      for (const std::size_t workers : {1u, 2u}) {
+        const std::string suffix = "_" + std::to_string(workers) + "w";
+        artifact.metric(rate.key + "_steps_per_sec" + suffix,
+                        rate.steps_per_sec[workers - 1]);
+        artifact.metric(rate.key + "_devices_per_sec" + suffix,
+                        rate.devices_per_sec[workers - 1]);
+      }
+    }
     artifact.metric("checkpoint_overhead_pct", checkpoint_overhead_pct);
     artifact.write_file();
   }

@@ -58,6 +58,14 @@ NOISY = {
     ("obs_overhead", "overhead_decisions_pct"),
     ("obs_overhead", "overhead_time_dim_pct"),
 }
+# bench_fleet_scaling stage 2a: engine steps/sec and devices/sec per
+# policy at 1 and 2 workers, all wall-clock throughput.
+NOISY |= {
+    ("fleet_scaling", f"{policy}_{unit}_per_sec_{workers}w")
+    for policy in ("dual", "capman", "oracle", "heuristic")
+    for unit in ("steps", "devices")
+    for workers in (1, 2)
+}
 
 
 def load(path: Path):

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -50,22 +51,8 @@ namespace {
 struct EmdCacheEntry {
   std::vector<double> ground;
   double emd = 0.0;
-  std::uint64_t signature = 0;
   bool valid = false;
 };
-
-/// Order-sensitive hash of the ground row, quantised to 2^-24 (well below
-/// any meaningful similarity difference). Used only as a fast reject
-/// before the exact vector comparison above.
-std::uint64_t ground_signature(const std::vector<double>& ground) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ ground.size();
-  for (const double v : ground) {
-    const auto q = static_cast<std::uint64_t>(
-        std::llround(v * static_cast<double>(1 << 24)));
-    h ^= q + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
 
 /// Hash of an action vertex's transition support, (to, probability bits)
 /// in edge order — the complete input its EMDs read from the vertex.
@@ -96,15 +83,25 @@ bool same_support(const ActionVertex& a, const ActionVertex& b) {
 struct DistributionClasses {
   std::vector<std::uint32_t> of;  // action vertex -> class
   std::size_t count = 0;
+  // The class mass table: class c's transition probabilities, in edge
+  // order, are mass[begin[c] .. begin[c + 1]). Built once per solve, so
+  // every EMD reads its masses as spans instead of rebuilding them.
+  std::vector<double> mass;
+  std::vector<std::size_t> begin{0};
+
+  [[nodiscard]] std::span<const double> masses(std::uint32_t c) const {
+    return std::span<const double>{mass}.subspan(begin[c],
+                                                 begin[c + 1] - begin[c]);
+  }
 };
 
-/// Distribution classes of the action vertices: with `dedupe`, vertices
-/// with bit-equal supports share a class (numbered in first-occurrence
-/// order); without, every vertex is its own class.
+/// Distribution classes of the action vertices and their mass table: with
+/// `dedupe`, vertices with bit-equal supports share a class (numbered in
+/// first-occurrence order); without, every vertex is its own class.
 DistributionClasses distribution_classes(const MdpGraph& graph,
                                          bool dedupe) {
   const std::size_t na = graph.action_count();
-  DistributionClasses classes{std::vector<std::uint32_t>(na), 0};
+  DistributionClasses classes{std::vector<std::uint32_t>(na), 0, {}, {0}};
   // Support hash -> the first vertex of each class with that hash.
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> firsts;
   for (std::uint32_t a = 0; a < na; ++a) {
@@ -122,6 +119,10 @@ DistributionClasses distribution_classes(const MdpGraph& graph,
       same_hash.push_back(a);
     }
     classes.of[a] = static_cast<std::uint32_t>(classes.count++);
+    for (const TransitionEdge& t : va.transitions) {
+      classes.mass.push_back(t.probability);
+    }
+    classes.begin.push_back(classes.mass.size());
   }
   return classes;
 }
@@ -130,8 +131,6 @@ DistributionClasses distribution_classes(const MdpGraph& graph,
 /// the hot loop allocates only when a support outgrows its buffer.
 struct WorkerScratch {
   std::vector<double> ground;
-  math::Distribution pa;
-  math::Distribution pb;
   std::size_t action_computed = 0;
   std::size_t state_computed = 0;
 };
@@ -281,29 +280,17 @@ SimilarityResult compute_structural_similarity(
 
             if (config.use_emd_cache) {
               EmdCacheEntry& entry = emd_cache[k];
-              const std::uint64_t sig = ground_signature(sc.ground);
-              if (entry.valid && entry.signature == sig &&
-                  entry.ground == sc.ground) {
+              if (entry.valid && entry.ground == sc.ground) {
                 class_emd[k] = entry.emd;
                 continue;
               }
-              entry.signature = sig;
               entry.ground = sc.ground;
               entry.valid = true;
             }
-            sc.pa.mass.clear();
-            sc.pb.mass.clear();
-            for (const auto& t : va.transitions) {
-              sc.pa.mass.push_back(t.probability);
-            }
-            for (const auto& t : vb.transitions) {
-              sc.pb.mass.push_back(t.probability);
-            }
             const double span_start = emd_spans ? profiler->now_us() : 0.0;
             const double d_emd = math::earth_movers_distance(
-                sc.pa, sc.pb, [&](std::size_t i, std::size_t j) {
-                  return sc.ground[i * tb + j];
-                });
+                classes.masses(classes.of[a]), classes.masses(classes.of[b]),
+                sc.ground);
             if (emd_spans) {
               profiler->complete("emd.solve", "math", span_start,
                                  profiler->now_us() - span_start);

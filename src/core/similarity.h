@@ -20,16 +20,18 @@
 // tests/core/similarity_bound_test.cpp.
 //
 // Engine (see docs/ARCHITECTURE.md and DESIGN.md §8): every pair update of
-// a sweep reads only the previous sweep's matrices, so both phases shard
-// across a util::ThreadPool with a barrier between them; every pair is
-// owned by exactly one worker and the convergence reduction runs on the
-// calling thread in a fixed order, making results bit-identical for every
-// thread count. Action vertices with bit-equal transition supports (the
-// budget-level copies of an action learn identical transitions) form one
-// distribution class, and a sweep solves one EMD per ordered class pair;
-// an exact memo per class pair (verified against the exact ground-distance
-// values before reuse) cuts the per-sweep work further once most pairs
-// stop moving. Every mode computes the exact recursion: there is no
+// a sweep reads only the previous sweep's matrices, so both phases fan out
+// across a util::ThreadPool with a barrier between them; each pair runs
+// exactly once, on whichever worker claims it, writes only its own cells,
+// and the convergence reduction runs on the calling thread in a fixed
+// order, making results bit-identical for every thread count. Action
+// vertices with bit-equal transition supports (the budget-level copies of
+// an action learn identical transitions) form one distribution class, and
+// a sweep solves one EMD per ordered class pair, straight from a per-solve
+// table of class masses and the dense ground matrix it builds; an exact
+// memo per class pair (verified against the exact ground-distance values
+// before reuse) cuts the per-sweep work further once most pairs stop
+// moving. Every mode computes the exact recursion: there is no
 // approximate pair skipping, so the engine knobs below change the work
 // done, never a bit of the result.
 #pragma once

@@ -14,7 +14,7 @@ namespace {
 constexpr double kEps = 1e-12;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-double checked_total(const std::vector<double>& mass) {
+double checked_total(std::span<const double> mass) {
   for (const double m : mass) {
     if (!std::isfinite(m) || m < 0.0) {
       throw std::invalid_argument(
@@ -31,6 +31,8 @@ double checked_total(const std::vector<double>& mass) {
 /// The solver's arrays, kept per thread and reused across calls so a solve
 /// allocates only when its support outgrows every earlier one on that
 /// thread. Every array is resized and re-initialised before it is read.
+/// The solver calls out to nothing, so no solve on this thread can start
+/// while another is using them.
 struct Workspace {
   std::vector<std::size_t> row_point;
   std::vector<std::size_t> col_point;
@@ -41,50 +43,33 @@ struct Workspace {
   std::vector<double> potential;
   std::vector<double> dist;
   std::vector<std::size_t> parent;
-  std::vector<unsigned char> done;
+  std::vector<double> key;
 };
 
-/// Hands out this thread's workspace, or a fresh one when a ground-distance
-/// callback re-enters the solver while the thread's workspace is in use.
-class WorkspaceLease {
- public:
-  WorkspaceLease() : owner_(!in_use_) { in_use_ = true; }
-  ~WorkspaceLease() {
-    if (owner_) in_use_ = false;
-  }
-  WorkspaceLease(const WorkspaceLease&) = delete;
-  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
-
-  Workspace& get() { return owner_ ? shared_ : own_; }
-
- private:
-  static thread_local Workspace shared_;
-  static thread_local bool in_use_;
-  bool owner_;
-  Workspace own_;
-};
-
-thread_local Workspace WorkspaceLease::shared_;
-thread_local bool WorkspaceLease::in_use_ = false;
+thread_local Workspace workspace;
 
 }  // namespace
 
-double earth_movers_distance(const Distribution& p, const Distribution& q,
-                             const GroundDistance& d) {
-  const double total_p = checked_total(p.mass);
-  const double total_q = checked_total(q.mass);
-  WorkspaceLease lease;
+double earth_movers_distance(std::span<const double> p,
+                             std::span<const double> q,
+                             std::span<const double> ground) {
+  const double total_p = checked_total(p);
+  const double total_q = checked_total(q);
+  if (ground.size() != p.size() * q.size()) {
+    throw std::invalid_argument(
+        "earth_movers_distance: ground matrix must be |p| x |q|");
+  }
   auto& [row_point, col_point, supply, demand, cost, flow, potential, dist,
-         parent, done] = lease.get();
+         parent, key] = workspace;
 
   // Only positive masses take part: rows are p's support, columns q's.
   row_point.clear();
   col_point.clear();
-  for (std::size_t i = 0; i < p.mass.size(); ++i) {
-    if (p.mass[i] > 0.0) row_point.push_back(i);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    if (p[i] > 0.0) row_point.push_back(i);
   }
-  for (std::size_t j = 0; j < q.mass.size(); ++j) {
-    if (q.mass[j] > 0.0) col_point.push_back(j);
+  for (std::size_t j = 0; j < q.size(); ++j) {
+    if (q[j] > 0.0) col_point.push_back(j);
   }
   const std::size_t rows = row_point.size();
   const std::size_t cols = col_point.size();
@@ -92,15 +77,16 @@ double earth_movers_distance(const Distribution& p, const Distribution& q,
   supply.resize(rows);
   demand.resize(cols);
   for (std::size_t i = 0; i < rows; ++i) {
-    supply[i] = p.mass[row_point[i]] / total_p;
+    supply[i] = p[row_point[i]] / total_p;
   }
   for (std::size_t j = 0; j < cols; ++j) {
-    demand[j] = q.mass[col_point[j]] / total_q;
+    demand[j] = q[col_point[j]] / total_q;
   }
   cost.resize(rows * cols);
   for (std::size_t i = 0; i < rows; ++i) {
+    const double* ground_row = &ground[row_point[i] * q.size()];
     for (std::size_t j = 0; j < cols; ++j) {
-      cost[i * cols + j] = d(row_point[i], col_point[j]);
+      cost[i * cols + j] = ground_row[col_point[j]];
       assert(cost[i * cols + j] >= 0.0);
     }
   }
@@ -117,48 +103,61 @@ double earth_movers_distance(const Distribution& p, const Distribution& q,
   potential.assign(nodes, 0.0);
   dist.resize(nodes);
   parent.resize(nodes);
-  done.resize(nodes);
-  const auto reduced = [&](std::size_t i, std::size_t j) {
-    return cost[i * cols + j] + potential[i] - potential[rows + j];
-  };
+  key.resize(nodes);
 
   for (;;) {
     bool any_supply = false;
     for (std::size_t i = 0; i < rows; ++i) {
       dist[i] = supply[i] > kEps ? 0.0 : kInf;
+      key[i] = dist[i];
       any_supply = any_supply || supply[i] > kEps;
     }
     if (!any_supply) break;
     std::fill(dist.begin() + static_cast<std::ptrdiff_t>(rows), dist.end(),
               kInf);
-    std::fill(done.begin(), done.end(), false);
+    std::fill(key.begin() + static_cast<std::ptrdiff_t>(rows), key.end(),
+              kInf);
 
     // Linear-scan Dijkstra: V = rows + cols is a handful of nodes, so an
-    // O(V^2) scan beats any heap.
+    // O(V^2) scan beats any heap. key[v] is dist[v] while v is reached and
+    // not yet settled, +inf otherwise, so the next node is the first one
+    // with the smallest key: one compare per node. A settled node is never
+    // relaxed again (every later candidate is at least its distance), so
+    // an update writes key and dist together.
     for (;;) {
       std::size_t u = nodes;
+      double best = kInf;
       for (std::size_t v = 0; v < nodes; ++v) {
-        if (!done[v] && dist[v] < kInf && (u == nodes || dist[v] < dist[u])) {
+        if (key[v] < best) {
+          best = key[v];
           u = v;
         }
       }
       if (u == nodes) break;
-      done[u] = true;
+      key[u] = kInf;
+      const double du = dist[u];
       if (u < rows) {
+        const double* cost_row = &cost[u * cols];
+        const double pu = potential[u];
         for (std::size_t j = 0; j < cols; ++j) {
-          const double cand = dist[u] + std::max(reduced(u, j), 0.0);
+          const double reduced = cost_row[j] + pu - potential[rows + j];
+          const double cand = du + std::max(reduced, 0.0);
           if (cand < dist[rows + j] - kEps) {
             dist[rows + j] = cand;
+            key[rows + j] = cand;
             parent[rows + j] = u;
           }
         }
       } else {
         const std::size_t j = u - rows;
+        const double pj = potential[u];
         for (std::size_t i = 0; i < rows; ++i) {
           if (flow[i * cols + j] <= kEps) continue;
-          const double cand = dist[u] + std::max(-reduced(i, j), 0.0);
+          const double reduced = cost[i * cols + j] + potential[i] - pj;
+          const double cand = du + std::max(-reduced, 0.0);
           if (cand < dist[i] - kEps) {
             dist[i] = cand;
+            key[i] = cand;
             parent[i] = u;
           }
         }
@@ -209,6 +208,20 @@ double earth_movers_distance(const Distribution& p, const Distribution& q,
   double total = 0.0;
   for (std::size_t k = 0; k < rows * cols; ++k) total += flow[k] * cost[k];
   return total;
+}
+
+double earth_movers_distance(const Distribution& p, const Distribution& q,
+                             const GroundDistance& d) {
+  const std::size_t np = p.mass.size();
+  const std::size_t nq = q.mass.size();
+  std::vector<double> ground(np * nq, 0.0);
+  for (std::size_t i = 0; i < np; ++i) {
+    if (!(p.mass[i] > 0.0)) continue;
+    for (std::size_t j = 0; j < nq; ++j) {
+      if (q.mass[j] > 0.0) ground[i * nq + j] = d(i, j);
+    }
+  }
+  return earth_movers_distance(p.mass, q.mass, ground);
 }
 
 double emd_1d(const std::vector<double>& p, const std::vector<double>& q) {

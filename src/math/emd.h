@@ -7,10 +7,17 @@
 // adjacency lists, and the arrays live in a reused per-thread workspace,
 // so a solve allocates nothing once its thread has seen a support that
 // large (DESIGN.md §8.3).
+//
+// One solver, two entries. Algorithm 1 calls the direct entry: masses as
+// spans over its per-solve class mass table and the dense ground matrix
+// it has already built, with no callback and no per-call Distribution.
+// The callback entry fills a ground matrix from `d` and calls the same
+// solver, so both return the same bits for the same inputs.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 namespace capman::math {
@@ -27,10 +34,21 @@ struct Distribution {
 /// supports coincide.
 using GroundDistance = std::function<double(std::size_t, std::size_t)>;
 
-/// EMD(p, q; d): minimum total cost of transporting the mass of p onto q.
-/// Throws std::invalid_argument unless every mass is finite and >= 0 and
-/// each distribution has positive total mass. Zero masses drop out of the
-/// support; `d` is called once per pair of positive-mass points.
+/// EMD(p, q; ground): minimum total cost of transporting the masses `p`
+/// onto the masses `q` (normalized internally), where `ground` is the
+/// row-major p.size() x q.size() ground-distance matrix. Throws
+/// std::invalid_argument unless every mass is finite and >= 0, each side
+/// has positive total mass and `ground` has p.size() * q.size() entries.
+/// Zero masses drop out of the support; only the entries between two
+/// positive-mass points are read.
+double earth_movers_distance(std::span<const double> p,
+                             std::span<const double> q,
+                             std::span<const double> ground);
+
+/// EMD(p, q; d) through a ground-distance callback: calls `d` once per pair
+/// of positive-mass points to fill a ground matrix, then solves exactly as
+/// the direct entry above (same result bits, same exceptions). `d` runs
+/// before the solve, so it may itself solve an EMD.
 double earth_movers_distance(const Distribution& p, const Distribution& q,
                              const GroundDistance& d);
 

@@ -6,10 +6,11 @@
 // from a seeded PopulationSpec (battery chemistries and capacities,
 // workload mixes, phone profiles, ambient temperatures, an optional fault
 // plan for a fraction of the fleet), partitions them into fixed
-// contiguous shards (util::ShardPlan), batches the shards across a
-// util::ThreadPool, and reduces every device's discharge cycle into
-// per-shard aggregates — counters, quantized sums and
-// obs::QuantileSketch percentiles — instead of per-device traces.
+// contiguous shards (util::ShardPlan), lets the workers of a
+// util::ThreadPool claim shards until none are left, and
+// reduces every device's discharge cycle into per-shard aggregates —
+// counters, quantized sums and obs::QuantileSketch percentiles — instead
+// of per-device traces.
 //
 // Determinism contract (tests/sim/fleet_test.cpp pins all of it):
 //  * every device is sampled from a seed derived only from
@@ -17,8 +18,9 @@
 //  * the device → shard assignment is the fixed contiguous ShardPlan
 //    formula, so shard contents depend only on (device_count,
 //    shard_count);
-//  * workers write only the shard states they own; shard aggregates are
-//    merged on the calling thread in shard-index order;
+//  * each shard runs exactly once, on whichever worker claims it, and
+//    writes only its own shard state; shard aggregates are merged on the
+//    calling thread in shard-index order;
 //  * aggregate sums are quantized to fixed integer resolution (µs, m°C,
 //    mJ) and sketch merges are integer bucket additions, so the merged
 //    result is bit-identical across thread counts AND shard counts.
@@ -351,7 +353,10 @@ class FleetRunner {
   FleetRunner(FleetRunner&&) = delete;
   FleetRunner& operator=(FleetRunner&&) = delete;
 
-  /// Simulate the whole population. Per-device series capture and
+  /// Simulate the whole population. Workers claim shards from one shared
+  /// counter, so a worker that drew short-lived devices takes the next
+  /// shard instead of idling; shards restored from a checkpoint are
+  /// skipped wherever they sit in the plan. Per-device series capture and
   /// telemetry file sinks are force-disabled regardless of the base
   /// config — fleets aggregate, they do not trace.
   [[nodiscard]] FleetResult run() const;

@@ -1,13 +1,13 @@
 // Deterministic shard scheduling for population-scale fan-out.
 //
 // ShardPlan fixes the device → shard assignment of a fleet run before any
-// thread is spawned: shard k owns one contiguous item range computed by
-// the same quotient/remainder formula ThreadPool::parallel_for uses for
-// its worker chunks (q = total / shards, r = total % shards; the first r
-// shards get one extra item). Because the assignment depends only on
-// (total, shard_count) — never on thread count, scheduling order or
-// timing — a consumer that accumulates per-shard state and merges it in
-// shard-index order produces identical results for every worker count.
+// thread is spawned: shard k owns one contiguous item range computed by a
+// quotient/remainder formula (q = total / shards, r = total % shards; the
+// first r shards get one extra item). Because the assignment depends only
+// on (total, shard_count) — never on thread count, on which worker claims
+// a shard, or on timing — a consumer that accumulates per-shard state and
+// merges it in shard-index order produces identical results for every
+// worker count.
 //
 // Contiguity is the second half of the contract: shard ranges tile
 // [0, total) in order, so a left-fold merge over shards 0..S-1 visits

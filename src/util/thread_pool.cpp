@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/spans.h"
@@ -57,14 +58,6 @@ void ThreadPool::parallel_for(
   if (auto* counter = chunk_counter_.load(std::memory_order_acquire)) {
     counter->add(workers_);
   }
-  // Fixed partition: chunk w covers [w*q + min(w,r), ...) where
-  // q = total / workers, r = total % workers — the first r chunks get one
-  // extra index. Purely arithmetic, so identical across runs.
-  const auto chunk_begin = [&](std::size_t w) {
-    const std::size_t q = total / workers_;
-    const std::size_t r = total % workers_;
-    return w * q + std::min(w, r);
-  };
   if (workers_ == 1) {
     const obs::ScopedSpan span{"pool.chunk", "threadpool"};
     body(0, total, 0);
@@ -74,20 +67,38 @@ void ThreadPool::parallel_for(
     const MutexLock lock(mutex_);
     task_ = &body;
     task_total_ = total;
+    next_index_.store(0);
     pending_ = workers_ - 1;
     ++generation_;
   }
   work_ready_.notify_all();
-  {
-    const obs::ScopedSpan span{"pool.chunk", "threadpool"};
-    body(chunk_begin(0), chunk_begin(1), 0);  // caller runs chunk 0 inline
-  }
+  claim_and_run(total, body, 0);  // the caller is worker 0
   {
     const MutexLock lock(mutex_);
     // condition_variable_any waits on the annotated mutex directly; the
     // manual loop keeps the guarded predicate visible to the analysis.
     while (pending_ != 0) work_done_.wait(mutex_);
     task_ = nullptr;
+  }
+}
+
+void ThreadPool::claim_and_run(
+    std::size_t total,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
+    std::size_t worker) {
+  const obs::ScopedSpan span{"pool.chunk", "threadpool"};
+  // About 32 blocks per worker: a sub-microsecond item (one Algorithm-1
+  // state pair) pays one atomic claim per block rather than per item, and
+  // neighbouring output cells stay with one worker; a dispatch of at most
+  // 32 items per worker (a fleet's 64 shards) is still claimed singly.
+  constexpr std::size_t kClaimsPerWorker = 32;
+  const std::size_t block =
+      std::max<std::size_t>(total / (workers_ * kClaimsPerWorker), 1);
+  for (std::size_t begin = next_index_.fetch_add(block,
+                                                 std::memory_order_relaxed);
+       begin < total;
+       begin = next_index_.fetch_add(block, std::memory_order_relaxed)) {
+    body(begin, std::min(begin + block, total), worker);
   }
 }
 
@@ -107,14 +118,7 @@ void ThreadPool::worker_loop(std::size_t worker) {
       task = task_;
       total = task_total_;
     }
-    const std::size_t q = total / workers_;
-    const std::size_t r = total % workers_;
-    const std::size_t begin = worker * q + std::min(worker, r);
-    const std::size_t end = (worker + 1) * q + std::min(worker + 1, r);
-    {
-      const obs::ScopedSpan span{"pool.chunk", "threadpool"};
-      (*task)(begin, end, worker);
-    }
+    claim_and_run(total, *task, worker);
     bool last = false;
     {
       const MutexLock lock(mutex_);

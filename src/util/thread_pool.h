@@ -1,24 +1,30 @@
 // Reusable fixed-size worker pool for data-parallel loops.
 //
-// Built for the per-iteration fan-out of Algorithm 1 (core/similarity.cpp):
-// each sweep shards thousands of independent pair updates across cores,
-// then joins at a barrier before the reduction. Workers are std::jthread
-// and live for the lifetime of the pool, so per-sweep dispatch costs one
-// mutex round-trip instead of thread creation.
+// Built for the per-iteration fan-out of Algorithm 1 (core/similarity.cpp)
+// and the shard loop of sim::FleetRunner: each dispatch spreads many
+// independent work items across cores, then joins at a barrier. Workers
+// are std::jthread and live for the lifetime of the pool, so a dispatch
+// costs one mutex round-trip instead of thread creation.
 //
-// Determinism contract: parallel_for partitions [0, total) into exactly
-// `worker_count()` contiguous chunks by a fixed formula that does not
-// depend on scheduling, and every index is visited exactly once. A body
-// that writes only to locations owned by its indices therefore produces
-// bit-identical memory contents for every worker count (including the
-// inline single-threaded path).
+// Scheduling: workers claim contiguous blocks of indices from one shared
+// atomic counter, so a worker that finishes early takes the next unclaimed
+// block instead of idling. The block size follows from the total and the
+// worker count alone (about 32 blocks per worker, at least one index), so
+// a few dozen coarse items such as fleet shards are claimed singly while
+// thousands of fine ones pay one claim per block. Every index runs exactly
+// once; which worker runs it depends on timing. A body that
+// writes only to locations owned by its indices (plus per-worker scratch
+// whose contents it sums order-independently) therefore produces
+// bit-identical results for every worker count, including the inline
+// single-threaded path.
 //
 // Observability: workers label their tracks in the ambient
-// obs::SpanProfiler ("pool-worker-N") and every executed chunk emits a
-// `pool.chunk` span, so a profiled Algorithm 1 sweep renders one lane per
-// worker in Perfetto. bind_metrics() attaches registry counters
-// (threadpool/parallel_for, threadpool/chunks) that count dispatches; both
-// hooks are no-ops when no profiler/registry is installed.
+// obs::SpanProfiler ("pool-worker-N") and each worker emits one
+// `pool.chunk` span per dispatch around its claim loop, so a profiled
+// dispatch renders one lane per worker in Perfetto. bind_metrics()
+// attaches registry counters (threadpool/parallel_for, threadpool/chunks)
+// that count dispatches and per-worker chunks; both hooks are no-ops when
+// no profiler/registry is installed.
 #pragma once
 
 #include <atomic>
@@ -63,12 +69,13 @@ class ThreadPool {
   /// relaxed atomic increments.
   void bind_metrics(obs::MetricsRegistry* registry);
 
-  /// Runs `body(begin, end, worker)` for `worker_count()` contiguous
-  /// chunks covering [0, total) and blocks until all chunks finished.
-  /// Chunk boundaries depend only on `total` and `worker_count()`; chunk
-  /// `worker` always runs the same index range regardless of timing.
-  /// Empty chunks (total < worker_count()) are still dispatched so the
-  /// body may rely on being called once per worker slot.
+  /// Runs every index of [0, total) exactly once and blocks until all
+  /// have finished. A one-worker pool makes a single inline call
+  /// `body(0, total, 0)`. Otherwise workers call `body(begin, end, worker)`
+  /// for each block [begin, end) they claim; `worker` < worker_count()
+  /// names the calling worker (0 is the caller's thread), so per-worker
+  /// scratch indexed by it is never shared. Which worker runs an index,
+  /// and in what order blocks run, depends on timing.
   void parallel_for(
       std::size_t total,
       const std::function<void(std::size_t begin, std::size_t end,
@@ -76,12 +83,18 @@ class ThreadPool {
 
  private:
   void worker_loop(std::size_t worker);
+  // Claim and run blocks of the current task until none are left.
+  void claim_and_run(
+      std::size_t total,
+      const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
+      std::size_t worker);
 
   std::size_t workers_ = 1;
   std::vector<std::jthread> threads_;
 
   // One-shot task state, guarded by mutex_: generation_ increments per
-  // parallel_for call; workers run the current task_ once per generation.
+  // parallel_for call; workers join the current task_ once per generation
+  // and claim its blocks from next_index_.
   // The condition variables are _any so they can wait on the annotated
   // util::Mutex (a BasicLockable) directly; clang -Wthread-safety then
   // checks every guarded access (the thread_safety_check gate).
@@ -94,6 +107,9 @@ class ThreadPool {
   std::size_t task_total_ CAPMAN_GUARDED_BY(mutex_) = 0;
   const std::function<void(std::size_t, std::size_t, std::size_t)>* task_
       CAPMAN_GUARDED_BY(mutex_) = nullptr;
+  // The next unclaimed index of the current task. Reset under mutex_
+  // before a generation is published; workers claim blocks by fetch_add.
+  std::atomic<std::size_t> next_index_{0};
 
   // Registry handles (stable for the registry's lifetime); null when no
   // registry is bound.

@@ -231,6 +231,89 @@ TEST(Emd, WorkspaceReuseIsExact) {
         return outer.cost[i * nq + j];
       });
   EXPECT_EQ(nested, fresh[0]);
+
+  // The direct entry, fed the same masses and cost matrix, returns the
+  // same bits as the callback entry.
+  for (std::size_t k = 0; k < problems.size(); ++k) {
+    const Problem& pr = problems[k];
+    EXPECT_EQ(earth_movers_distance(pr.p.mass, pr.q.mass, pr.cost), fresh[k])
+        << "problem " << k;
+  }
+}
+
+// The direct entry against the callback entry on random supports up to
+// 8 x 8 with zero masses, tied masses, and costs of exactly 0 and 1. The
+// direct matrix holds NaN wherever a zero-mass point sits, so any read of
+// an entry outside the positive-mass support would show in the result.
+TEST(Emd, DirectEntryMatchesCallbackEntryBitForBit) {
+  util::Rng rng{8080};
+  const double quiet_nan = std::numeric_limits<double>::quiet_NaN();
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t np = 1 + rng.uniform_index(8);
+    const std::size_t nq = 1 + rng.uniform_index(8);
+    const auto masses = [&rng](std::size_t n) {
+      std::vector<double> mass(n);
+      for (double& m : mass) {
+        const double roll = rng.uniform();
+        m = roll < 0.25 ? 0.0 : roll < 0.5 ? 0.25 : rng.uniform(0.01, 1.0);
+      }
+      if (std::all_of(mass.begin(), mass.end(),
+                      [](double m) { return m == 0.0; })) {
+        mass[rng.uniform_index(n)] = 0.5;
+      }
+      return mass;
+    };
+    const std::vector<double> p = masses(np);
+    const std::vector<double> q = masses(nq);
+    std::vector<double> cost(np * nq);
+    for (double& c : cost) {
+      const double roll = rng.uniform();
+      c = roll < 0.2 ? 0.0 : roll < 0.4 ? 1.0 : rng.uniform();
+    }
+    std::vector<double> ground = cost;
+    for (std::size_t i = 0; i < np; ++i) {
+      for (std::size_t j = 0; j < nq; ++j) {
+        if (p[i] == 0.0 || q[j] == 0.0) ground[i * nq + j] = quiet_nan;
+      }
+    }
+    const double via_callback = earth_movers_distance(
+        Distribution{p}, Distribution{q},
+        [&](std::size_t i, std::size_t j) { return cost[i * nq + j]; });
+    EXPECT_EQ(earth_movers_distance(p, q, ground), via_callback)
+        << np << "x" << nq << " trial " << trial;
+  }
+}
+
+// Invalid masses throw std::invalid_argument from the direct entry exactly
+// where they throw from the callback entry; so does a ground matrix of the
+// wrong shape.
+TEST(Emd, DirectEntryRejectsWhatTheCallbackEntryRejects) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double quiet_nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> good{0.5, 0.5};
+  const std::vector<double> ground{0.0, 1.0, 1.0, 0.0};
+  const auto d = [&ground](std::size_t i, std::size_t j) {
+    return ground[i * 2 + j];
+  };
+  for (const std::vector<double>& bad :
+       {std::vector<double>{-0.5, 1.0}, std::vector<double>{quiet_nan, 1.0},
+        std::vector<double>{inf, 1.0}, std::vector<double>{0.0, 0.0}}) {
+    EXPECT_THROW(earth_movers_distance(bad, good, ground),
+                 std::invalid_argument);
+    EXPECT_THROW(earth_movers_distance(good, bad, ground),
+                 std::invalid_argument);
+    EXPECT_THROW(earth_movers_distance(Distribution{bad}, Distribution{good}, d),
+                 std::invalid_argument);
+    EXPECT_THROW(earth_movers_distance(Distribution{good}, Distribution{bad}, d),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(earth_movers_distance(std::vector<double>{},
+                                     std::vector<double>{1.0},
+                                     std::vector<double>{}),
+               std::invalid_argument);
+  EXPECT_THROW(earth_movers_distance(good, good, std::vector<double>{0.0}),
+               std::invalid_argument);
+  EXPECT_EQ(earth_movers_distance(good, good, ground), 0.0);
 }
 
 TEST(Emd, IdenticalDistributionsZero) {

@@ -5,11 +5,16 @@
 #include "sim/fleet.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "sim/checkpoint.h"
+#include "util/sharding.h"
 
 namespace capman::sim {
 namespace {
@@ -38,6 +43,15 @@ std::string snapshot_json(const obs::MetricsSnapshot& snapshot) {
   std::ostringstream out;
   snapshot.write_json(out);
   return out.str();
+}
+
+// The snapshot without its per-shard breakdown (fleet/shards and
+// fleet/shard/NNNN/*): what must not change with the shard count.
+std::string snapshot_json_without_shards(obs::MetricsSnapshot snapshot) {
+  std::erase_if(snapshot.counters, [](const auto& counter) {
+    return counter.name.starts_with("fleet/shard");
+  });
+  return snapshot_json(snapshot);
 }
 
 bool has_error(const std::vector<std::string>& errors,
@@ -520,6 +534,116 @@ TEST(FleetSupervisor, TransientPoisonSucceedsOnRetryWithoutHalfCounting) {
               clean.policies[i].switch_total);
     EXPECT_EQ(retried.policies[i].quarantined, 0u);
   }
+}
+
+// A heavy-tailed fleet for the shard scheduler: most devices run
+// Geekbench and die within minutes, a few sit idle with the screen on and
+// live until max_duration. The seed is the first one whose idle devices
+// (at least two) all land in one shard of a 5-shard plan, so under a fixed
+// split one worker would carry most of the work.
+FleetConfig heavy_tailed_fleet(std::size_t shards, std::size_t threads) {
+  FleetConfig config = small_fleet(64, shards, threads);
+  config.policies = {PolicyKind::kDual};
+  config.population.workloads = {{FleetWorkload::kGeekbench, 20.0},
+                                 {FleetWorkload::kIdleScreenOn, 1.0}};
+  const util::ShardPlan plan{config.device_count, 5};
+  for (config.seed = 1; config.seed < 1000; ++config.seed) {
+    std::vector<std::size_t> idle_shards;
+    for (std::uint64_t id = 0; id < config.device_count; ++id) {
+      const DeviceSpec device =
+          FleetRunner::sample_device(config.population, config.seed, id);
+      if (device.workload.workload == FleetWorkload::kIdleScreenOn) {
+        idle_shards.push_back(plan.shard_of(id));
+      }
+    }
+    if (idle_shards.size() >= 2 &&
+        std::all_of(idle_shards.begin(), idle_shards.end(),
+                    [&](std::size_t s) { return s == idle_shards.front(); })) {
+      return config;
+    }
+  }
+  ADD_FAILURE() << "no seed below 1000 clusters the idle devices";
+  return config;
+}
+
+// A checkpoint directory private to this test and this process: the
+// same test binary may run concurrently (sim_fleet_test and tsan_smoke
+// under ctest -j), and an assertion failure must not leave it behind.
+class FleetScheduling : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("capman_fleet_" +
+            std::string{::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()} +
+            "_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::filesystem::path dir_;
+};
+
+// Workers claim shards, so who runs what depends on timing; the snapshot
+// must not. Byte-identical at 1-4 workers for each shard count, and equal
+// up to the per-shard breakdown across 1, 5 and 64 shards.
+TEST_F(FleetScheduling,
+       HeavyTailedFleetIsBitIdenticalAcrossWorkersAndShards) {
+  std::string reference;
+  for (const std::size_t shards : {1u, 5u, 64u}) {
+    const FleetResult serial = FleetRunner{heavy_tailed_fleet(shards, 1)}.run();
+    const std::string json = snapshot_json(serial.metrics);
+    if (shards == 5) {
+      // The population really is heavy-tailed: the busiest shard runs
+      // more than twice the mean shard's engine steps.
+      std::uint64_t max_steps = 0;
+      for (const auto& shard : serial.shards) {
+        max_steps = std::max(max_steps, shard.engine_steps);
+      }
+      EXPECT_GT(5 * max_steps, 2 * serial.total_engine_steps);
+    }
+    for (const std::size_t threads : {2u, 3u, 4u}) {
+      const FleetResult parallel =
+          FleetRunner{heavy_tailed_fleet(shards, threads)}.run();
+      EXPECT_EQ(snapshot_json(parallel.metrics), json)
+          << shards << " shards, " << threads << " workers";
+    }
+    const std::string merged = snapshot_json_without_shards(serial.metrics);
+    if (reference.empty()) reference = merged;
+    EXPECT_EQ(merged, reference) << shards << " shards";
+  }
+}
+
+// Claimed shards complete in any order, so a checkpoint can hold any set
+// of them. Resuming from a non-prefix set re-runs exactly the missing
+// shards and reproduces the uninterrupted snapshot.
+TEST_F(FleetScheduling, ResumeFromNonPrefixShardSetMatchesUninterruptedRun) {
+  FleetConfig config = small_fleet(12, 6, 2);
+  config.checkpoint.directory = dir_.string();
+  config.checkpoint.every_shards = 2;
+  const FleetResult original = FleetRunner{config}.run();
+
+  const std::string path = (dir_ / "fleet.ckpt").string();
+  auto load = CheckpointReader::load(path);
+  ASSERT_TRUE(load.has_value());
+  ASSERT_EQ(load->shards.size(), 6u);
+  std::erase_if(load->shards, [](const ShardCheckpoint& shard) {
+    return shard.shard % 2 == 0;  // keep shards 1, 3 and 5
+  });
+  ASSERT_EQ(load->shards.size(), 3u);
+  {
+    CheckpointWriter rewind{path, load->header};
+    rewind.write(load->shards);
+  }
+
+  config.checkpoint.resume = true;
+  config.threads = 3;
+  const FleetResult resumed = FleetRunner{config}.run();
+  EXPECT_TRUE(resumed.checkpoint.resumed);
+  EXPECT_EQ(resumed.checkpoint.resumed_shards, 3u);
+  EXPECT_EQ(snapshot_json(resumed.metrics), snapshot_json(original.metrics));
 }
 
 }  // namespace
