@@ -6,15 +6,15 @@
 // and with it the solve time - grows superlinearly as rho -> 1 ("all curves
 // show an exponential behavior when rho increases"; ~300 us at rho -> 1 on
 // the Nexus). Host times are scaled to each phone profile by its CPU
-// frequency headroom.
+// frequency headroom. Every solve runs on one thread: on a graph this
+// small a pool's wake-ups would outweigh the solve the figure times.
 #include "bench_common.h"
 
 #include <algorithm>
 #include <chrono>
 
-#include "core/controller.h"
 #include "core/similarity.h"
-#include "workload/generators.h"
+#include "mixed_drive.h"
 
 using namespace capman;
 
@@ -26,33 +26,24 @@ core::MdpGraph learned_graph(std::uint64_t seed) {
   core::CapmanConfig config;
   config.exploration_initial = 0.5;  // visit both batteries broadly
   core::CapmanController controller{config, seed};
-  std::vector<std::unique_ptr<workload::WorkloadGenerator>> generators;
-  generators.push_back(workload::make_eta_static(0.5));
-  generators.push_back(workload::make_video());
-  generators.push_back(workload::make_idle_screen_on());
-  generators.push_back(workload::make_screen_toggle(util::Seconds{30.0}));
-  generators.push_back(workload::make_pcmark());
-  double t0 = 0.0;
-  for (const auto& gen : generators) {
-    const auto trace = gen->generate(util::Seconds{600.0}, seed);
-    auto current = battery::BatterySelection::kBig;
-    for (const auto& event : trace.events()) {
-      current = controller.on_event(event.action, event.demand.state_vector(),
-                                    current, util::Seconds{t0 + event.time_s});
-      controller.record_step(util::Joules{1.0}, util::Joules{0.1}, true);
-    }
-    t0 += 600.0;
-  }
+  bench::mixed_drive(controller, seed, [](double) {});
   return core::MdpGraph::from_mdp(controller.scheduler().mdp(), 1.0);
 }
 
-double median_solve_us(const core::MdpGraph& graph, double rho, int reps) {
-  std::vector<double> times;
+// Algorithm 1 at C_A = rho on one thread.
+core::SimilarityConfig rho_config(double rho) {
   core::SimilarityConfig cfg;
   cfg.c_s = 1.0;
   cfg.c_a = rho;
   cfg.epsilon = 0.01;
   cfg.max_iterations = 400;
+  cfg.num_threads = 1;
+  return cfg;
+}
+
+double median_solve_us(const core::MdpGraph& graph, double rho, int reps) {
+  std::vector<double> times;
+  const core::SimilarityConfig cfg = rho_config(rho);
   for (int i = 0; i < reps; ++i) {
     const auto start = std::chrono::steady_clock::now();
     const auto result = compute_structural_similarity(graph, cfg);
@@ -89,12 +80,7 @@ int main(int argc, char** argv) {
   double prev_us = 0.0;
   bool monotone = true;
   for (double rho : {0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99}) {
-    core::SimilarityConfig cfg;
-    cfg.c_s = 1.0;
-    cfg.c_a = rho;
-    cfg.epsilon = 0.01;
-    cfg.max_iterations = 400;
-    const auto result = compute_structural_similarity(graph, cfg);
+    const auto result = compute_structural_similarity(graph, rho_config(rho));
     const double us = median_solve_us(graph, rho, 5);
     if (us + 1e-9 < prev_us) monotone = false;
     prev_us = us;

@@ -8,10 +8,18 @@
 // the EMD cache are bit-identical transformations, which this binary
 // re-verifies on every graph.
 //
-// A last, budget-style graph replicates every action vertex at the three
+// A budget-style graph replicates every action vertex at the three
 // budget levels (identical transitions, fresh rewards), the shape
 // learn_budget produces; its cached EMD solves gate the engine's
 // one-EMD-per-distribution-class-pair dedupe.
+//
+// A last, recalibration-sequence row snapshots the graph one seeded CAPMAN
+// controller learns at eight points of bench::mixed_drive and solves
+// the snapshots in order at the scheduler's own Algorithm 1 settings,
+// once cold and once warm-started from the previous snapshot's solve (as
+// OnlineScheduler::recalibrate does). It counts sweeps and EMD solves for
+// both, and checks that each warm result is within 2 * epsilon of the cold
+// one.
 //
 // Columns: engine wall time [ms], speedup vs the serial path, sweeps, and
 // the pair-visit breakdown (EMD solved / cache hits) from SimilarityStats.
@@ -25,6 +33,7 @@
 
 #include "core/budget_level.h"
 #include "core/similarity.h"
+#include "mixed_drive.h"
 #include "util/rng.h"
 
 using namespace capman;
@@ -91,6 +100,28 @@ core::MdpGraph budget_replicated(const core::MdpGraph& graph,
     }
   }
   return core::MdpGraph::from_parts(std::move(states), std::move(actions));
+}
+
+// The graphs a CAPMAN scheduler learns over bench::mixed_drive: one
+// snapshot every 375 s of simulated time, eight in all.
+std::vector<core::MdpGraph> recalibration_sequence(
+    const core::CapmanConfig& config, std::uint64_t seed) {
+  constexpr double kSnapshotEvery = 375.0;
+  core::CapmanController controller{config, seed};
+  std::vector<core::MdpGraph> graphs;
+  const auto snapshot = [&] {
+    graphs.push_back(core::MdpGraph::from_mdp(controller.scheduler().mdp(),
+                                              config.min_observations));
+  };
+  double next_snapshot = kSnapshotEvery;
+  bench::mixed_drive(controller, seed, [&](double t) {
+    if (t >= next_snapshot) {
+      snapshot();
+      next_snapshot += kSnapshotEvery;
+    }
+  });
+  snapshot();
+  return graphs;
 }
 
 core::SimilarityConfig engine_config(std::size_t threads, bool cache) {
@@ -245,9 +276,71 @@ int main(int argc, char** argv) {
       study(dup_graph, 3, "budget-replicated, ")
           .engine_1t.stats.action_pairs_computed;
 
+  // The recalibration sequence, cold and warm-started.
+  core::CapmanConfig capman;
+  capman.exploration_initial = 0.5;  // visit both batteries broadly
+  core::SimilarityConfig seq_cfg = capman.similarity_config();
+  seq_cfg.num_threads = 1;
+  const std::vector<core::MdpGraph> sequence =
+      recalibration_sequence(capman, seed);
+  std::uint64_t sweeps_seq_cold = 0;
+  std::uint64_t sweeps_seq_warm = 0;
+  std::uint64_t emd_solved_seq_cold = 0;
+  std::uint64_t emd_solved_seq_warm = 0;
+  double worst_warm_gap = 0.0;
+  bool seq_converged = true;
+  {
+    std::cout << "\n  recalibration sequence: " << sequence.size()
+              << " learned graphs, |S| " << sequence.front().state_count()
+              << " -> " << sequence.back().state_count() << ", |Lambda| "
+              << sequence.front().action_count() << " -> "
+              << sequence.back().action_count() << "\n";
+    util::TextTable table({"graph", "|S|", "|Lambda|", "cold sweeps",
+                           "warm sweeps", "cold EMD", "warm EMD",
+                           "max |warm-cold|"});
+    core::SimilarityResult warm;
+    const core::MdpGraph* prior = nullptr;
+    for (std::size_t k = 0; k < sequence.size(); ++k) {
+      const core::MdpGraph& graph = sequence[k];
+      const auto cold = compute_structural_similarity(graph, seq_cfg);
+      auto next = compute_structural_similarity(graph, seq_cfg, {prior, &warm});
+      const double gap =
+          std::max(max_abs_diff(cold.state_similarity, next.state_similarity),
+                   max_abs_diff(cold.action_similarity,
+                                next.action_similarity));
+      worst_warm_gap = std::max(worst_warm_gap, gap);
+      seq_converged = seq_converged && cold.converged && next.converged;
+      sweeps_seq_cold += cold.iterations;
+      sweeps_seq_warm += next.iterations;
+      emd_solved_seq_cold += cold.stats.action_pairs_computed;
+      emd_solved_seq_warm += next.stats.action_pairs_computed;
+      table.add_row({std::to_string(k), std::to_string(graph.state_count()),
+                     std::to_string(graph.action_count()),
+                     std::to_string(cold.iterations),
+                     std::to_string(next.iterations),
+                     std::to_string(cold.stats.action_pairs_computed),
+                     std::to_string(next.stats.action_pairs_computed),
+                     util::TextTable::format(gap, 5)});
+      warm = std::move(next);
+      prior = &graph;
+    }
+    table.print(std::cout);
+  }
+  const bool warm_within_bound =
+      seq_converged && worst_warm_gap <= 2.0 * seq_cfg.epsilon;
+
   bench::measured_note(
       std::cout, std::string{"thread/cache modes bit-identical to serial: "} +
                      (all_identical ? "yes" : "NO - ENGINE BUG"));
+  bench::measured_note(
+      std::cout,
+      "recalibration sequence, cold -> warm: " +
+          std::to_string(sweeps_seq_cold) + " -> " +
+          std::to_string(sweeps_seq_warm) + " sweeps, " +
+          std::to_string(emd_solved_seq_cold) + " -> " +
+          std::to_string(emd_solved_seq_warm) +
+          " EMD solves; warm within 2*epsilon of cold: " +
+          (warm_within_bound ? "yes" : "NO - WARM START BUG"));
   bench::measured_note(
       std::cout,
       "largest graph, engine x4 speedup over serial path: " +
@@ -266,7 +359,13 @@ int main(int argc, char** argv) {
     artifact.metric("emd_solved_96", static_cast<double>(final_emd_solved));
     artifact.metric("emd_solved_dup", static_cast<double>(emd_solved_dup));
     artifact.metric("speedup_x4_96", largest_speedup_4t);
+    artifact.metric("sweeps_seq_cold", static_cast<double>(sweeps_seq_cold));
+    artifact.metric("sweeps_seq_warm", static_cast<double>(sweeps_seq_warm));
+    artifact.metric("emd_solved_seq_cold",
+                    static_cast<double>(emd_solved_seq_cold));
+    artifact.metric("emd_solved_seq_warm",
+                    static_cast<double>(emd_solved_seq_warm));
     artifact.write_file();
   }
-  return all_identical ? 0 : 1;
+  return all_identical && warm_within_bound ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "battery/cell.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -118,11 +119,21 @@ util::Coulombs Cell::available_charge() const {
   return util::Coulombs{std::max(0.0, y1_)};
 }
 
+const Cell::StepCoefficients& Cell::coefficients(double dt_s) {
+  const auto bits = std::bit_cast<std::uint64_t>(dt_s);
+  if (bits != coefficients_.dt_bits) {
+    coefficients_.dt_bits = bits;
+    coefficients_.kibam_decay = std::exp(-profile_->kibam_k_per_s * dt_s);
+    coefficients_.surge_alpha = 1.0 - std::exp(-dt_s / profile_->surge_tau_s);
+  }
+  return coefficients_;
+}
+
 void Cell::kibam_step(double i_amps, double dt_s) {
   const double k = profile_->kibam_k_per_s;
   const double c = profile_->kibam_c;
   const double y0 = y1_ + y2_;
-  const double e = std::exp(-k * dt_s);
+  const double e = coefficients(dt_s).kibam_decay;
   const double kdt = k * dt_s;
   const double y1_next = y1_ * e + (y0 * k * c - i_amps) * (1.0 - e) / k -
                          i_amps * c * (kdt - 1.0 + e) / k;
@@ -145,7 +156,7 @@ Cell::DrawResult Cell::draw(util::Watts load, util::Seconds dt) {
   y2_ *= (1.0 - leak);
   result.losses = util::Joules{leaked_charge * ocv_at(available_fill())};
 
-  const double alpha = 1.0 - std::exp(-dt_s / profile_->surge_tau_s);
+  const double alpha = coefficients(dt_s).surge_alpha;
   if (load.value() <= 0.0 || exhausted()) {
     // Rest: wells redistribute (recovery), the overpotential relaxes.
     kibam_step(0.0, dt_s);

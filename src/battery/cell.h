@@ -16,10 +16,14 @@
 // exactly the energy the battery wastes.
 #pragma once
 
+#include <cstdint>
+
 #include "battery/chemistry.h"
 #include "util/units.h"
 
 namespace capman::battery {
+
+struct CellTestAccess;
 
 class Cell {
  public:
@@ -92,6 +96,19 @@ class Cell {
   void recharge();
 
  private:
+  friend struct CellTestAccess;  // tests/battery/cell_test.cpp
+
+  /// The exp() coefficients of one step length. The engine steps at a few
+  /// fixed dts, so they are recomputed only when dt changes (compared
+  /// bitwise); the same argument gives the same bits, so the cache cannot
+  /// move a result. The initial key, +0.0 s, holds the exact dt = 0 values.
+  struct StepCoefficients {
+    std::uint64_t dt_bits = 0;
+    double kibam_decay = 1.0;  // exp(-k * dt)
+    double surge_alpha = 0.0;  // 1 - exp(-dt / surge_tau): I_ref's EWMA
+  };
+  const StepCoefficients& coefficients(double dt_s);
+
   /// Closed-form KiBaM update for constant well current `i_amps` over dt.
   void kibam_step(double i_amps, double dt_s);
   [[nodiscard]] double ocv_at(double fill) const;
@@ -114,6 +131,7 @@ class Cell {
   double i_ref_ = 0.0;    // slow reference current, amps
   double r0_;             // series resistance, ohms
   double r1_;             // surge resistance, ohms
+  StepCoefficients coefficients_;
 };
 
 }  // namespace capman::battery

@@ -1,6 +1,7 @@
 #include "battery/pack.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace capman::battery {
@@ -151,8 +152,13 @@ PackStepResult DualBatteryPack::step(util::Watts load, util::Seconds dt,
   switch_debt_j_ += switch_->advance(now).value();
 
   // Track the smoothed load baseline for the supercap filter.
-  const double alpha = 1.0 - std::exp(-dt.value() / config_.baseline_tau.value());
-  baseline_w_ += alpha * (load.value() - baseline_w_);
+  const auto dt_bits = std::bit_cast<std::uint64_t>(dt.value());
+  if (dt_bits != baseline_dt_bits_) {
+    baseline_dt_bits_ = dt_bits;
+    baseline_alpha_ =
+        1.0 - std::exp(-dt.value() / config_.baseline_tau.value());
+  }
+  baseline_w_ += baseline_alpha_ * (load.value() - baseline_w_);
 
   const double parasitic_w =
       std::min(kSwitchDrainWatts, switch_debt_j_ / dt.value());

@@ -9,6 +9,7 @@
 //    smoothing the LITTLE rail.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -105,6 +106,8 @@ struct DualPackConfig {
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 
+struct PackTestAccess;
+
 /// big.LITTLE pack: the CAPMAN prototype hardware.
 class DualBatteryPack final : public PowerSource {
  public:
@@ -160,6 +163,8 @@ class DualBatteryPack final : public PowerSource {
   [[nodiscard]] const Supercapacitor& supercap() const { return supercap_; }
 
  private:
+  friend struct PackTestAccess;  // tests/battery/pack_test.cpp
+
   Cell& cell_for(BatterySelection sel) {
     return sel == BatterySelection::kBig ? big_ : little_;
   }
@@ -176,6 +181,10 @@ class DualBatteryPack final : public PowerSource {
   std::unique_ptr<SwitchFacility> switch_;
   Supercapacitor supercap_;
   double baseline_w_ = 0.0;  // EWMA of recent load for the supercap filter
+  // The baseline EWMA's alpha = 1 - exp(-dt / baseline_tau), recomputed
+  // only when dt changes bitwise (+0.0 s holds the exact dt = 0 value).
+  std::uint64_t baseline_dt_bits_ = 0;
+  double baseline_alpha_ = 0.0;
   double last_load_w_ = 0.0;  // load seen last step (for request validation)
   double switch_debt_j_ = 0.0;  // completed-switch losses not yet drained
   double active_time_big_s_ = 0.0;

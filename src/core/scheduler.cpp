@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "obs/spans.h"
 
@@ -41,11 +42,16 @@ double OnlineScheduler::recalibrate() {
   // Declared instrumentation: wall time is only reported, never read back
   // into the decision path.  capman-lint: allow(determinism)
   const auto start = std::chrono::steady_clock::now();
-  graph_ = MdpGraph::from_mdp(mdp_, config_.min_observations);
+  MdpGraph graph = MdpGraph::from_mdp(mdp_, config_.min_observations);
   SimilarityConfig sim_config = config_.similarity_config();
   sim_config.metrics = metrics();
   sim_config.publish_timings = publish_timings();
-  similarity_ = compute_structural_similarity(graph_, sim_config);
+  // Algorithm 1 starts from the last solve's similarities: the fixed point
+  // barely moves between recalibrations, and the start changes only the
+  // sweep count (see core/similarity.h).
+  similarity_ = compute_structural_similarity(graph, sim_config,
+                                              {&graph_, &similarity_});
+  graph_ = std::move(graph);
 
   values_ = solve_values(graph_, config_.value_iteration_config());
 

@@ -84,9 +84,10 @@ class OnlineScheduler : public obs::Instrumented {
   /// Advance the exploration schedule to simulation time `now` (seconds).
   void advance_time(double now_s);
 
-  /// Rebuild the graph, run Algorithm 1 and value iteration. Returns the
-  /// wall-clock seconds the solve took (the controller charges it as CPU
-  /// maintenance work).
+  /// Rebuild the graph, run Algorithm 1 (warm-started from the previous
+  /// recalibration's graph and similarities) and value iteration. Returns
+  /// the wall-clock seconds the solve took (the controller charges it as
+  /// CPU maintenance work).
   double recalibrate();
 
   [[nodiscard]] const Mdp& mdp() const { return mdp_; }

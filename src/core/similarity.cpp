@@ -38,6 +38,8 @@ void SimilarityStats::publish(obs::MetricsRegistry& registry) const {
   registry.counter("similarity/action_pairs_cached").add(action_pairs_cached);
   registry.counter("similarity/state_pairs_total").add(state_pairs_total);
   registry.counter("similarity/state_pairs_computed").add(state_pairs_computed);
+  registry.counter("similarity/sweeps").add(iteration_ms.size());
+  registry.counter("similarity/warm_starts").add(warm_started ? 1 : 0);
   registry.gauge("similarity/threads").set(static_cast<double>(threads_used));
 }
 
@@ -137,10 +139,62 @@ struct WorkerScratch {
 
 using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
+/// Copies `prior`'s similarity of every vertex pair that exists in both
+/// graphs into the cold-started matrices: states matched by CapmanState id
+/// and non-absorbing in both (other states' rows are Eq. 3 base cases or
+/// have no prior value), action vertices matched by (source state id,
+/// action id). Returns whether any pair was seeded.
+bool seed_from_prior(const MdpGraph& graph, SimilarityWarmStart prior,
+                     math::Matrix& s_mat, math::Matrix& a_mat) {
+  if (prior.graph == nullptr || prior.result == nullptr) return false;
+  const MdpGraph& old = *prior.graph;
+  const math::Matrix& s_old = prior.result->state_similarity;
+  const math::Matrix& a_old = prior.result->action_similarity;
+  assert(old.state_count() == 0 || (s_old.rows() == old.state_count() &&
+                                    a_old.rows() >= old.action_count()));
+
+  // (new vertex, prior vertex) of every matched state, then action.
+  std::vector<std::pair<std::size_t, std::size_t>> states;
+  std::vector<std::pair<std::size_t, std::size_t>> actions;
+  for (std::size_t u = 0; u < graph.state_count(); ++u) {
+    if (graph.state(u).absorbing()) continue;
+    const std::size_t p = old.vertex_of(graph.state(u).state_id);
+    if (p != MdpGraph::npos && !old.state(p).absorbing()) {
+      states.emplace_back(u, p);
+    }
+  }
+  for (std::size_t a = 0; a < graph.action_count(); ++a) {
+    const ActionVertex& va = graph.action(a);
+    const std::size_t p = old.vertex_of(graph.state(va.source).state_id);
+    if (p == MdpGraph::npos) continue;
+    for (const std::size_t pa : old.state(p).actions) {
+      if (old.action(pa).action_id == va.action_id) {
+        actions.emplace_back(a, pa);
+        break;
+      }
+    }
+  }
+
+  const auto copy = [](const auto& matched, const math::Matrix& from,
+                       math::Matrix& to) {
+    for (std::size_t i = 0; i < matched.size(); ++i) {
+      for (std::size_t j = i + 1; j < matched.size(); ++j) {
+        const double sim = from(matched[i].second, matched[j].second);
+        to(matched[i].first, matched[j].first) = sim;
+        to(matched[j].first, matched[i].first) = sim;
+      }
+    }
+  };
+  copy(states, s_old, s_mat);
+  copy(actions, a_old, a_mat);
+  return states.size() > 1 || actions.size() > 1;
+}
+
 }  // namespace
 
-SimilarityResult compute_structural_similarity(
-    const MdpGraph& graph, const SimilarityConfig& config) {
+SimilarityResult compute_structural_similarity(const MdpGraph& graph,
+                                               const SimilarityConfig& config,
+                                               SimilarityWarmStart prior) {
   assert(config.c_s > 0.0 && config.c_s <= 1.0);
   assert(config.c_a > 0.0 && config.c_a < 1.0);
   const obs::ScopedSpan solve_span{"similarity.solve", "core"};
@@ -190,6 +244,8 @@ SimilarityResult compute_structural_similarity(
       }
     }
   }
+  // Warm start: only entries the sweeps rewrite take a prior value.
+  result.stats.warm_started = seed_from_prior(graph, prior, s_mat, a_mat);
 
   // The work lists. Every unordered action pair a < b needs EMD(p_a, p_b),
   // which depends only on the ordered pair of their distribution classes,

@@ -34,6 +34,18 @@
 // moving. Every mode computes the exact recursion: there is no
 // approximate pair skipping, so the engine knobs below change the work
 // done, never a bit of the result.
+//
+// Warm start (DESIGN.md §8): a solve may start from a previous solve's
+// similarities instead of from sigma = 0. Every pair of distinct states
+// present and non-absorbing in both graphs (matched by CapmanState id)
+// takes its prior sigma_S, and every pair of action vertices present in
+// both (matched by source state id and action id) its prior sigma_A; all
+// other entries, the Eq. 3 base cases included, start exactly as in a cold
+// solve. The recursion is a c_A-contraction with a unique fixed point, so
+// the start point changes the sweep count, not the limit: warm and cold
+// results each lie within epsilon of sigma* in sup norm (the stopping rule
+// below), hence within 2 * epsilon of each other. They are not bit-equal
+// to a cold solve; the engine knobs stay bit-identical for either start.
 #pragma once
 
 #include <cstddef>
@@ -93,6 +105,7 @@ struct SimilarityStats {
   std::vector<double> iteration_ms;  // wall time of each sweep
   double total_ms = 0.0;
   std::size_t threads_used = 1;
+  bool warm_started = false;  // seeded at least one entry from a prior solve
 
   /// The accounting invariant above; asserted in tests.
   [[nodiscard]] bool consistent() const {
@@ -101,9 +114,10 @@ struct SimilarityStats {
            state_pairs_computed == state_pairs_total;
   }
 
-  /// Publish the pair counters (and threads gauge) into `registry` under
-  /// the similarity/ prefix, accumulating across solves. Timings are
-  /// excluded here — see SimilarityConfig::publish_timings.
+  /// Publish the pair counters, the sweep count (one per iteration_ms
+  /// entry), warm starts and the threads gauge into `registry` under the
+  /// similarity/ prefix, accumulating across solves. Timings are excluded
+  /// here — see SimilarityConfig::publish_timings.
   void publish(obs::MetricsRegistry& registry) const;
 };
 
@@ -122,8 +136,18 @@ struct SimilarityResult {
   }
 };
 
-/// Runs Algorithm 1 to the given precision.
+/// A previous solve to warm-start from: the graph it ran on and its
+/// result. Either pointer null, or an empty graph, means a cold start.
+struct SimilarityWarmStart {
+  const MdpGraph* graph = nullptr;
+  const SimilarityResult* result = nullptr;
+};
+
+/// Runs Algorithm 1 to the given precision, from sigma = 0 or, given a
+/// prior solve, warm-started from its similarities (see the header
+/// comment).
 SimilarityResult compute_structural_similarity(const MdpGraph& graph,
-                                               const SimilarityConfig& config);
+                                               const SimilarityConfig& config,
+                                               SimilarityWarmStart prior = {});
 
 }  // namespace capman::core

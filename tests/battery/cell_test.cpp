@@ -2,9 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "util/units.h"
 
 namespace capman::battery {
+
+/// Forgets a cell's step-coefficient cache, so its next step recomputes
+/// every exp() from scratch.
+struct CellTestAccess {
+  static void forget_coefficients(Cell& cell) {
+    cell.coefficients_ = Cell::StepCoefficients{};
+  }
+};
+
 namespace {
 
 using util::Seconds;
@@ -206,6 +218,50 @@ TEST(Cell, HeatEqualsLossRate) {
   Cell c = nca_cell();
   const auto r = c.draw(Watts{2.0}, Seconds{0.5});
   EXPECT_NEAR(r.heat.value() * 0.5, r.losses.value(), 1e-9);
+}
+
+// The per-dt coefficient cache is exact: a cell stepped through
+// alternating dts matches, bit for bit, a reference that recomputes every
+// coefficient on every step, on the rest, load, brownout and charge paths.
+TEST(Cell, CoefficientCacheMatchesCacheFreeReferenceBitForBit) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const Chemistry chemistry : {Chemistry::kNCA, Chemistry::kLMO}) {
+    Cell cached{chemistry, 900.0};
+    Cell reference{chemistry, 900.0};
+    const double dts[] = {0.05, 0.25, 5.0};
+    const double loads[] = {0.0, 0.8, 3.5, 0.3, 60.0};  // 60 W browns out
+    for (int i = 0; i < 3000; ++i) {
+      // Each dt runs twice, so the cache both hits and switches.
+      const Seconds dt{dts[(i / 2) % 3]};
+      const Watts load{loads[i % 5]};
+      CellTestAccess::forget_coefficients(reference);
+      const Cell::DrawResult a = cached.draw(load, dt);
+      const Cell::DrawResult b = reference.draw(load, dt);
+      ASSERT_EQ(bits(a.delivered.value()), bits(b.delivered.value())) << i;
+      ASSERT_EQ(bits(a.losses.value()), bits(b.losses.value())) << i;
+      ASSERT_EQ(bits(a.terminal_voltage.value()),
+                bits(b.terminal_voltage.value()))
+          << i;
+      ASSERT_EQ(bits(a.current.value()), bits(b.current.value())) << i;
+      ASSERT_EQ(a.brownout, b.brownout) << i;
+      ASSERT_EQ(bits(cached.available_charge().value()),
+                bits(reference.available_charge().value()))
+          << i;
+      ASSERT_EQ(bits(cached.bound_charge().value()),
+                bits(reference.bound_charge().value()))
+          << i;
+      ASSERT_EQ(bits(cached.surge_overpotential().value()),
+                bits(reference.surge_overpotential().value()))
+          << i;
+    }
+    for (int i = 0; i < 30; ++i) {
+      const Seconds dt{dts[i % 3]};
+      CellTestAccess::forget_coefficients(reference);
+      ASSERT_EQ(bits(cached.charge(util::Amperes{0.5}, dt).value()),
+                bits(reference.charge(util::Amperes{0.5}, dt).value()));
+      ASSERT_EQ(bits(cached.soc()), bits(reference.soc())) << i;
+    }
+  }
 }
 
 struct RateCase {

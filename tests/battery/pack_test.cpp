@@ -2,7 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace capman::battery {
+
+/// Forgets a pack's cached baseline alpha, so its next step recomputes it.
+struct PackTestAccess {
+  static void forget_baseline_alpha(DualBatteryPack& pack) {
+    pack.baseline_dt_bits_ = 0;
+    pack.baseline_alpha_ = 0.0;
+  }
+};
+
 namespace {
 
 using util::Seconds;
@@ -174,6 +186,36 @@ TEST(DualPack, EnergyRemainingSumsBothCells) {
   const double parts = pack.big_cell().energy_remaining().value() +
                        pack.little_cell().energy_remaining().value();
   EXPECT_NEAR(total, parts, 1e-9);
+}
+
+// The supercap baseline's per-dt alpha is cached exactly: on the LITTLE
+// rail, where the baseline shapes every draw, a pack stepped through
+// alternating dts matches, bit for bit, one that recomputes it every step.
+TEST(DualPack, BaselineAlphaCacheMatchesCacheFreeReferenceBitForBit) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  DualBatteryPack cached;
+  DualBatteryPack reference;
+  cached.request(BatterySelection::kLittle, Seconds{0.0});
+  reference.request(BatterySelection::kLittle, Seconds{0.0});
+  const double dts[] = {0.05, 0.25, 5.0};
+  const double loads[] = {0.3, 2.5, 0.8, 4.0};
+  double now = 0.0;
+  for (int i = 0; i < 1500; ++i) {
+    // Each dt runs twice, so the cache both hits and switches.
+    const Seconds dt{dts[(i / 2) % 3]};
+    now += dt.value();
+    PackTestAccess::forget_baseline_alpha(reference);
+    const PackStepResult a = cached.step(Watts{loads[i % 4]}, dt, Seconds{now});
+    const PackStepResult b =
+        reference.step(Watts{loads[i % 4]}, dt, Seconds{now});
+    ASSERT_EQ(bits(a.delivered.value()), bits(b.delivered.value())) << i;
+    ASSERT_EQ(bits(a.losses.value()), bits(b.losses.value())) << i;
+    ASSERT_EQ(bits(a.rail_voltage.value()), bits(b.rail_voltage.value()))
+        << i;
+    ASSERT_EQ(a.supplied_by, b.supplied_by) << i;
+    ASSERT_EQ(bits(cached.little_soc()), bits(reference.little_soc())) << i;
+  }
+  EXPECT_EQ(cached.active(), BatterySelection::kLittle);
 }
 
 }  // namespace
