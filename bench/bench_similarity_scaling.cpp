@@ -22,7 +22,8 @@
 // one.
 //
 // Columns: engine wall time [ms], speedup vs the serial path, sweeps, and
-// the pair-visit breakdown (EMD solved / cache hits) from SimilarityStats.
+// the pair-visit breakdown (EMD solved / plans reused / cache hits) from
+// SimilarityStats.
 // With --csv, writes bench_similarity_scaling.csv with one row per
 // (states, actions, mode, threads) configuration.
 #include "bench_common.h"
@@ -190,7 +191,7 @@ int main(int argc, char** argv) {
     csv_out = std::make_unique<util::CsvWriter>(
         std::string{"bench_similarity_scaling.csv"});
     csv_out->header({"states", "actions", "mode", "threads", "ms", "speedup",
-                     "sweeps", "emd_solved", "cache_hits"});
+                     "sweeps", "emd_solved", "plans_reused", "cache_hits"});
   }
 
   bool all_identical = true;
@@ -213,7 +214,7 @@ int main(int argc, char** argv) {
     const auto serial = run_timed(graph, engine_config(1, false), reps);
 
     util::TextTable table({"mode", "threads", "ms", "speedup", "sweeps",
-                           "EMD solved", "cache hits"});
+                           "EMD solved", "plans reused", "cache hits"});
     const auto report = [&](const std::string& mode, std::size_t threads,
                             const Timed& timed) {
       const auto& st = timed.result.stats;
@@ -222,6 +223,7 @@ int main(int argc, char** argv) {
                     {static_cast<double>(threads), timed.ms, speedup,
                      static_cast<double>(timed.result.iterations),
                      static_cast<double>(st.action_pairs_computed),
+                     static_cast<double>(st.action_pairs_reused),
                      static_cast<double>(st.action_pairs_cached)},
                     2);
       if (csv_out) {
@@ -233,6 +235,7 @@ int main(int argc, char** argv) {
             .cell(speedup)
             .cell(timed.result.iterations)
             .cell(st.action_pairs_computed)
+            .cell(st.action_pairs_reused)
             .cell(st.action_pairs_cached);
         csv_out->end_row();
       }

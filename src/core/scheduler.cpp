@@ -15,6 +15,12 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 std::uint64_t sa_key(std::size_t state_id, std::size_t action_id) {
   return (static_cast<std::uint64_t>(state_id) << 16) | action_id;
 }
+
+std::size_t transfer_bucket(workload::Syscall kind,
+                            battery::BatterySelection battery) {
+  return static_cast<std::size_t>(kind) * 2 +
+         (battery == battery::BatterySelection::kLittle ? 1 : 0);
+}
 }  // namespace
 
 void DecisionStats::publish(obs::MetricsRegistry& registry) const {
@@ -56,10 +62,14 @@ double OnlineScheduler::recalibrate() {
   values_ = solve_values(graph_, config_.value_iteration_config());
 
   action_vertex_index_.clear();
+  for (auto& bucket : transfer_candidates_) bucket.clear();
   for (std::size_t av = 0; av < graph_.action_count(); ++av) {
     const auto& a = graph_.action(av);
     action_vertex_index_[sa_key(graph_.state(a.source).state_id,
                                 a.action_id)] = av;
+    const DecisionAction da = DecisionAction::from_index(a.action_id);
+    transfer_candidates_[transfer_bucket(da.syscall.kind, da.battery)]
+        .push_back(av);
   }
   ++recals_;
   // capman-lint: allow(determinism)
@@ -120,14 +130,15 @@ double OnlineScheduler::transferred_q(std::size_t state_id,
   double best_q = kNaN;
   std::int64_t best_state = -1;
   BudgetLevel best_level = BudgetLevel::kFull;
-  // Scan action vertices whose syscall kind and battery match; weight each
-  // candidate's Q by the structural similarity between its source state and
-  // the query state (exact state match was already handled by solved_q).
-  // Budget levels transfer freely: the matched action's level rides along.
-  for (std::size_t av = 0; av < graph_.action_count(); ++av) {
+  // Scan the action vertices whose syscall kind and battery match, in
+  // ascending vertex order; weight each candidate's Q by the structural
+  // similarity between its source state and the query state (exact state
+  // match was already handled by solved_q). Budget levels transfer
+  // freely: the matched action's level rides along.
+  for (const std::size_t av :
+       transfer_candidates_[transfer_bucket(kind, battery)]) {
     const auto& a = graph_.action(av);
     const DecisionAction da = DecisionAction::from_index(a.action_id);
-    if (da.syscall.kind != kind || da.battery != battery) continue;
     double sim = 0.2;  // floor: same-kind experience is weak evidence
     if (query_vertex != MdpGraph::npos) {
       sim = similarity_.state_similarity(query_vertex, a.source);

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <unordered_map>
+#include <vector>
 
 #include "core/config.h"
 #include "core/mdp.h"
@@ -25,6 +26,7 @@
 #include "core/value_iteration.h"
 #include "obs/decision_trace.h"
 #include "obs/instrumented.h"
+#include "workload/event.h"
 #include "util/rng.h"
 
 namespace capman::core {
@@ -149,6 +151,11 @@ class OnlineScheduler : public obs::Instrumented {
   ValueIterationResult values_;
   // (state_id << 16 | action_id) -> action vertex index of the last solve.
   std::unordered_map<std::uint64_t, std::size_t> action_vertex_index_;
+  // transferred_q's candidates: the action vertices of the last solve by
+  // (syscall kind, battery), at kind * 2 + (LITTLE ? 1 : 0), each bucket
+  // in ascending vertex order.
+  std::vector<std::vector<std::size_t>> transfer_candidates_ =
+      std::vector<std::vector<std::size_t>>(workload::kSyscallCount * 2);
   DecisionStats stats_;
   obs::DecisionDetail last_detail_;
   double exploration_;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -36,6 +37,7 @@ void SimilarityStats::publish(obs::MetricsRegistry& registry) const {
   registry.counter("similarity/action_pairs_computed")
       .add(action_pairs_computed);
   registry.counter("similarity/action_pairs_cached").add(action_pairs_cached);
+  registry.counter("similarity/emd_plans_reused").add(action_pairs_reused);
   registry.counter("similarity/state_pairs_total").add(state_pairs_total);
   registry.counter("similarity/state_pairs_computed").add(state_pairs_computed);
   registry.counter("similarity/sweeps").add(iteration_ms.size());
@@ -45,12 +47,17 @@ void SimilarityStats::publish(obs::MetricsRegistry& registry) const {
 
 namespace {
 
-/// Memo slot for one class pair: the last solved EMD together with the
-/// exact ground-distance values it was solved under. Reuse requires the
-/// current ground values to compare equal element-for-element, so a hit
-/// returns exactly what the transport solver would — the cache cannot
-/// change a bit of the result, only skip the solve.
+/// One class pair's EMD history. `plan` is the optimal transport plan of
+/// its last solve (empty before the first), re-priced under each later
+/// ground while math::reused_plan_cost() certifies it; it exists in every
+/// mode, so a class pair's EMDs depend only on its own ground sequence.
+/// With use_emd_cache the slot is also a memo: the last EMD together with
+/// the exact ground-distance values it was found under. A hit requires the
+/// current ground values to compare equal element-for-element, so it
+/// returns exactly what re-pricing the same plan (or re-solving) would —
+/// the memo cannot change a bit of the result, only skip the work.
 struct EmdCacheEntry {
+  std::vector<double> plan;
   std::vector<double> ground;
   double emd = 0.0;
   bool valid = false;
@@ -134,6 +141,7 @@ DistributionClasses distribution_classes(const MdpGraph& graph,
 struct WorkerScratch {
   std::vector<double> ground;
   std::size_t action_computed = 0;
+  std::size_t action_reused = 0;
   std::size_t state_computed = 0;
 };
 
@@ -192,9 +200,10 @@ bool seed_from_prior(const MdpGraph& graph, SimilarityWarmStart prior,
 
 }  // namespace
 
-SimilarityResult compute_structural_similarity(const MdpGraph& graph,
-                                               const SimilarityConfig& config,
-                                               SimilarityWarmStart prior) {
+SimilarityResult SimilaritySolver::solve(const MdpGraph& graph,
+                                         const SimilarityConfig& config,
+                                         SimilarityWarmStart prior,
+                                         bool reuse_plans) {
   assert(config.c_s > 0.0 && config.c_s <= 1.0);
   assert(config.c_a > 0.0 && config.c_a < 1.0);
   const obs::ScopedSpan solve_span{"similarity.solve", "core"};
@@ -294,8 +303,7 @@ SimilarityResult compute_structural_similarity(const MdpGraph& graph,
   obs::SpanProfiler* const profiler = obs::SpanProfiler::current();
   const bool emd_spans = profiler != nullptr && profiler->verbose();
 
-  std::vector<EmdCacheEntry> emd_cache;
-  if (config.use_emd_cache) emd_cache.resize(class_pairs.size());
+  std::vector<EmdCacheEntry> emd_cache(class_pairs.size());
   std::vector<double> class_emd(class_pairs.size());
 
   math::Matrix s_prev;
@@ -334,8 +342,8 @@ SimilarityResult compute_structural_similarity(const MdpGraph& graph,
               }
             }
 
+            EmdCacheEntry& entry = emd_cache[k];
             if (config.use_emd_cache) {
-              EmdCacheEntry& entry = emd_cache[k];
               if (entry.valid && entry.ground == sc.ground) {
                 class_emd[k] = entry.emd;
                 continue;
@@ -343,17 +351,28 @@ SimilarityResult compute_structural_similarity(const MdpGraph& graph,
               entry.ground = sc.ground;
               entry.valid = true;
             }
-            const double span_start = emd_spans ? profiler->now_us() : 0.0;
-            const double d_emd = math::earth_movers_distance(
-                classes.masses(classes.of[a]), classes.masses(classes.of[b]),
-                sc.ground);
-            if (emd_spans) {
-              profiler->complete("emd.solve", "math", span_start,
-                                 profiler->now_us() - span_start);
+            // The last solve's plan if it is still optimal, else a solve
+            // whose plan replaces it.
+            const auto p = classes.masses(classes.of[a]);
+            const auto q = classes.masses(classes.of[b]);
+            std::optional<double> d_emd;
+            if (reuse_plans && !entry.plan.empty()) {
+              d_emd = math::reused_plan_cost(p, q, entry.plan, sc.ground);
             }
-            if (config.use_emd_cache) emd_cache[k].emd = d_emd;
-            class_emd[k] = d_emd;
-            ++sc.action_computed;
+            if (d_emd) {
+              ++sc.action_reused;
+            } else {
+              const double span_start = emd_spans ? profiler->now_us() : 0.0;
+              entry.plan.resize(ta * tb);
+              d_emd = math::earth_movers_distance(p, q, sc.ground, entry.plan);
+              if (emd_spans) {
+                profiler->complete("emd.solve", "math", span_start,
+                                   profiler->now_us() - span_start);
+              }
+              ++sc.action_computed;
+            }
+            entry.emd = *d_emd;
+            class_emd[k] = *d_emd;
           }
         });
 
@@ -398,15 +417,19 @@ SimilarityResult compute_structural_similarity(const MdpGraph& graph,
 
     SimilarityStats& stats = result.stats;
     std::size_t solved = 0;
+    std::size_t reused = 0;
     for (WorkerScratch& sc : scratch) {
       solved += sc.action_computed;
+      reused += sc.action_reused;
       stats.state_pairs_computed += sc.state_computed;
       sc.action_computed = 0;
+      sc.action_reused = 0;
       sc.state_computed = 0;
     }
     stats.action_pairs_total += action_pairs;
     stats.action_pairs_computed += solved;
-    stats.action_pairs_cached += action_pairs - solved;
+    stats.action_pairs_reused += reused;
+    stats.action_pairs_cached += action_pairs - solved - reused;
     stats.state_pairs_total += state_pairs.size();
     // capman-lint: allow(determinism)
     const auto iter_end = std::chrono::steady_clock::now();
@@ -434,6 +457,12 @@ SimilarityResult compute_structural_similarity(const MdpGraph& graph,
   assert(result.stats.consistent());
   publish(result);
   return result;
+}
+
+SimilarityResult compute_structural_similarity(const MdpGraph& graph,
+                                               const SimilarityConfig& config,
+                                               SimilarityWarmStart prior) {
+  return SimilaritySolver::solve(graph, config, prior, true);
 }
 
 }  // namespace capman::core

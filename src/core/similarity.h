@@ -31,9 +31,19 @@
 // table of class masses and the dense ground matrix it builds; an exact
 // memo per class pair (verified against the exact ground-distance values
 // before reuse) cuts the per-sweep work further once most pairs stop
-// moving. Every mode computes the exact recursion: there is no
-// approximate pair skipping, so the engine knobs below change the work
-// done, never a bit of the result.
+// moving. The engine knobs below change the work done, never a bit of the
+// result.
+//
+// Plan reuse (DESIGN.md §8.3): every class pair keeps the optimal
+// transport plan of its last solve, in every engine mode. A sweep takes,
+// in order, the memo hit; else the stored plan's cost under the new
+// ground, if math::reused_plan_cost certifies the plan still optimal;
+// else a fresh solve, whose plan replaces the stored one. A re-priced EMD
+// is within 2e-12 of a fresh solve's but not always bit-equal to it, so
+// results are not bit-equal to solving every EMD afresh. They are
+// deterministic: a class pair's EMDs depend only on its own sequence of
+// ground matrices, which is the same for every thread count, cache
+// setting and registry, so those stay bit-identical.
 //
 // Warm start (DESIGN.md §8): a solve may start from a previous solve's
 // similarities instead of from sigma = 0. Every pair of distinct states
@@ -71,8 +81,9 @@ struct SimilarityConfig {
   // Solve one EMD per pair of distribution classes (action vertices with
   // bit-equal transition supports), and reuse a class pair's last EMD when
   // its exact ground-distance inputs (the delta_S entries over the two
-  // supports) are unchanged. Off, every action pair is solved every sweep.
-  // Exact: toggling the cache cannot change a single bit of the result.
+  // supports) are unchanged. Off, every action pair is its own class pair
+  // and visits the plan check or the solver every sweep. Exact: toggling
+  // the cache cannot change a single bit of the result.
   bool use_emd_cache = true;
 
   // Observability (src/obs): when set, the solve publishes its pair
@@ -93,12 +104,15 @@ struct SimilarityConfig {
 
 /// Per-solve instrumentation of the similarity engine. Pair counters are
 /// accumulated over all sweeps: every (pair, sweep) visit is classified as
-/// computed (it ran the EMD / Hausdorff solve) or cached (it took an exact
-/// EMD from the memo, or from the solve of another action pair in the same
-/// class pair that sweep), so computed + cached == total.
+/// computed (it ran the transport solver / Hausdorff), reused (it
+/// re-priced its class pair's last optimal plan under the new ground) or
+/// cached (it took an exact EMD from the memo, or from the solve or reuse
+/// of another action pair in the same class pair that sweep), so
+/// computed + reused + cached == total.
 struct SimilarityStats {
   std::size_t action_pairs_total = 0;
   std::size_t action_pairs_computed = 0;
+  std::size_t action_pairs_reused = 0;
   std::size_t action_pairs_cached = 0;
   std::size_t state_pairs_total = 0;     // no cache on the Hausdorff side:
   std::size_t state_pairs_computed = 0;  // computed == total
@@ -109,7 +123,8 @@ struct SimilarityStats {
 
   /// The accounting invariant above; asserted in tests.
   [[nodiscard]] bool consistent() const {
-    return action_pairs_computed + action_pairs_cached ==
+    return action_pairs_computed + action_pairs_reused +
+                   action_pairs_cached ==
                action_pairs_total &&
            state_pairs_computed == state_pairs_total;
   }
@@ -149,5 +164,22 @@ struct SimilarityWarmStart {
 SimilarityResult compute_structural_similarity(const MdpGraph& graph,
                                                const SimilarityConfig& config,
                                                SimilarityWarmStart prior = {});
+
+struct SimilarityTestAccess;
+
+/// The solver behind compute_structural_similarity. Turning plan reuse off
+/// (every EMD a fresh transport solve, the reference the reuse is tested
+/// against) is reachable only from the test access.
+class SimilaritySolver {
+  friend SimilarityResult compute_structural_similarity(
+      const MdpGraph& graph, const SimilarityConfig& config,
+      SimilarityWarmStart prior);
+  // Defined in tests/core/similarity_parallel_test.cpp.
+  friend struct SimilarityTestAccess;
+
+  static SimilarityResult solve(const MdpGraph& graph,
+                                const SimilarityConfig& config,
+                                SimilarityWarmStart prior, bool reuse_plans);
+};
 
 }  // namespace capman::core

@@ -48,29 +48,38 @@ struct Workspace {
 
 thread_local Workspace workspace;
 
+/// Only positive masses take part: rows are p's support, columns q's.
+void collect_support(std::span<const double> p, std::span<const double> q,
+                     Workspace& ws) {
+  ws.row_point.clear();
+  ws.col_point.clear();
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    if (p[i] > 0.0) ws.row_point.push_back(i);
+  }
+  for (std::size_t j = 0; j < q.size(); ++j) {
+    if (q[j] > 0.0) ws.col_point.push_back(j);
+  }
+}
+
 }  // namespace
 
 double earth_movers_distance(std::span<const double> p,
                              std::span<const double> q,
-                             std::span<const double> ground) {
+                             std::span<const double> ground,
+                             std::span<double> plan) {
   const double total_p = checked_total(p);
   const double total_q = checked_total(q);
   if (ground.size() != p.size() * q.size()) {
     throw std::invalid_argument(
         "earth_movers_distance: ground matrix must be |p| x |q|");
   }
+  if (!plan.empty() && plan.size() != ground.size()) {
+    throw std::invalid_argument(
+        "earth_movers_distance: plan must be |p| x |q|");
+  }
+  collect_support(p, q, workspace);
   auto& [row_point, col_point, supply, demand, cost, flow, potential, dist,
          parent, key] = workspace;
-
-  // Only positive masses take part: rows are p's support, columns q's.
-  row_point.clear();
-  col_point.clear();
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (p[i] > 0.0) row_point.push_back(i);
-  }
-  for (std::size_t j = 0; j < q.size(); ++j) {
-    if (q[j] > 0.0) col_point.push_back(j);
-  }
   const std::size_t rows = row_point.size();
   const std::size_t cols = col_point.size();
 
@@ -207,6 +216,90 @@ double earth_movers_distance(std::span<const double> p,
 
   double total = 0.0;
   for (std::size_t k = 0; k < rows * cols; ++k) total += flow[k] * cost[k];
+  if (!plan.empty()) {
+    std::fill(plan.begin(), plan.end(), 0.0);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        plan[row_point[i] * q.size() + col_point[j]] = flow[i * cols + j];
+      }
+    }
+  }
+  return total;
+}
+
+std::optional<double> reused_plan_cost(std::span<const double> p,
+                                       std::span<const double> q,
+                                       std::span<const double> plan,
+                                       std::span<const double> ground) {
+  if (ground.size() != p.size() * q.size() || plan.size() != ground.size()) {
+    throw std::invalid_argument(
+        "reused_plan_cost: plan and ground must be |p| x |q|");
+  }
+  collect_support(p, q, workspace);
+  auto& [row_point, col_point, supply, demand, cost, flow, potential, dist,
+         parent, key] = workspace;
+  const std::size_t rows = row_point.size();
+  const std::size_t cols = col_point.size();
+  const std::size_t nq = q.size();
+  if (rows == 0 || cols == 0) return std::nullopt;
+  const auto at = [&](std::span<const double> m, std::size_t i,
+                      std::size_t j) {
+    return m[row_point[i] * nq + col_point[j]];
+  };
+
+  // Dual potentials u (rows) and v (columns, stored after the rows) with
+  // u_i + v_j = ground_ij on every plan cell, spread from row 0 by a
+  // breadth-first walk over the plan's support graph; `parent` is the
+  // queue and dist marks the reached nodes. A support that does not
+  // connect every row and column leaves a potential undetermined, so the
+  // plan is not certified.
+  const std::size_t nodes = rows + cols;
+  potential.assign(nodes, 0.0);
+  dist.assign(nodes, kInf);
+  parent.resize(nodes);
+  dist[0] = 0.0;
+  parent[0] = 0;
+  std::size_t queued = 1;
+  for (std::size_t head = 0; head < queued; ++head) {
+    const std::size_t u = parent[head];
+    if (u < rows) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        if (dist[rows + j] < kInf || !(at(plan, u, j) > 0.0)) continue;
+        potential[rows + j] = at(ground, u, j) - potential[u];
+        dist[rows + j] = 0.0;
+        parent[queued++] = rows + j;
+      }
+    } else {
+      const std::size_t j = u - rows;
+      for (std::size_t i = 0; i < rows; ++i) {
+        if (dist[i] < kInf || !(at(plan, i, j) > 0.0)) continue;
+        potential[i] = at(ground, i, j) - potential[u];
+        dist[i] = 0.0;
+        parent[queued++] = i;
+      }
+    }
+  }
+  if (queued != nodes) return std::nullopt;
+
+  // Optimal iff complementary slackness holds to the solver's tolerance:
+  // no reduced cost below -kEps, and every plan cell's within +-kEps.
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double reduced =
+          at(ground, i, j) - potential[i] - potential[rows + j];
+      if (reduced < -kEps || (at(plan, i, j) > 0.0 && reduced > kEps)) {
+        return std::nullopt;
+      }
+    }
+  }
+
+  // The solver's own cost read: row-major over the support.
+  double total = 0.0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      total += at(plan, i, j) * at(ground, i, j);
+    }
+  }
   return total;
 }
 

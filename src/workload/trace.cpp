@@ -43,15 +43,12 @@ TraceCursor::TraceCursor(const Trace& trace) : trace_(&trace) {
   assert(!trace.empty());
 }
 
-std::size_t TraceCursor::index_for(double t) const {
+std::size_t TraceCursor::upper_bound_of(double local, std::size_t from) const {
   const auto& events = trace_->events();
-  const double local = std::fmod(t, trace_->horizon_s());
-  // Last event with time <= local; events start at/near 0.
-  auto it = std::upper_bound(
-      events.begin(), events.end(), local,
+  const auto it = std::upper_bound(
+      events.begin() + static_cast<std::ptrdiff_t>(from), events.end(), local,
       [](double value, const TraceEvent& e) { return value < e.time_s; });
-  if (it == events.begin()) return events.size() - 1;  // wrap: tail demand
-  return static_cast<std::size_t>(std::distance(events.begin(), it)) - 1;
+  return static_cast<std::size_t>(std::distance(events.begin(), it));
 }
 
 const TraceEvent& TraceCursor::current() const {
@@ -63,18 +60,32 @@ double TraceCursor::next_event_time(double t) const {
   const auto& events = trace_->events();
   const double horizon = trace_->horizon_s();
   const double local = std::fmod(t, horizon);
-  auto it = std::upper_bound(
-      events.begin(), events.end(), local,
-      [](double value, const TraceEvent& e) { return value < e.time_s; });
-  if (it == events.end()) {
+  const std::size_t next = upper_bound_of(local, 0);
+  if (next == events.size()) {
     // Wrap to the first event of the next loop.
     return t + (horizon - local) + events.front().time_s;
   }
-  return t + (it->time_s - local);
+  return t + (events[next].time_s - local);
 }
 
 bool TraceCursor::advance(double t) {
-  const std::size_t idx = index_for(t);
+  const auto& events = trace_->events();
+  const double local = std::fmod(t, trace_->horizon_s());
+  // next_ becomes the first event strictly after `local`. Until local time
+  // wraps it only moves forward, a step or two per call, so walk on from
+  // the last call's answer and binary-search only what a long jump leaves.
+  if (local >= last_local_) {
+    constexpr std::size_t kWalk = 8;
+    const std::size_t stop = std::min(events.size(), next_ + kWalk);
+    while (next_ < stop && !(local < events[next_].time_s)) ++next_;
+    if (next_ == stop) next_ = upper_bound_of(local, next_);
+  } else {
+    next_ = upper_bound_of(local, 0);
+  }
+  last_local_ = local;
+  // The last event at or before local; before the first event of a loop
+  // the previous loop's tail demand is in force.
+  const std::size_t idx = next_ == 0 ? events.size() - 1 : next_ - 1;
   const auto loop =
       static_cast<std::size_t>(std::floor(t / trace_->horizon_s()));
   const bool fired = idx != last_index_ || loop != last_loop_;

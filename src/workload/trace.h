@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -81,11 +82,18 @@ class TraceCursor {
   [[nodiscard]] double next_event_time(double t) const;
 
  private:
-  [[nodiscard]] std::size_t index_for(double t) const;
+  /// Index of the first event at or after `from` strictly later than
+  /// `local` (events.size() if none).
+  [[nodiscard]] std::size_t upper_bound_of(double local,
+                                           std::size_t from) const;
 
   const Trace* trace_;
   std::size_t last_index_ = static_cast<std::size_t>(-1);
   std::size_t last_loop_ = static_cast<std::size_t>(-1);
+  // The local time of the last advance (+inf before the first, so it
+  // binary-searches) and the first event strictly after it.
+  double last_local_ = std::numeric_limits<double>::infinity();
+  std::size_t next_ = 0;
 };
 
 }  // namespace capman::workload

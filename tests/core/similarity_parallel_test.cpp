@@ -13,6 +13,16 @@
 #include "graph_test_util.h"
 
 namespace capman::core {
+
+/// The solve with every EMD a fresh transport solve: no plan reuse.
+struct SimilarityTestAccess {
+  static SimilarityResult solve_without_plan_reuse(
+      const MdpGraph& graph, const SimilarityConfig& config,
+      SimilarityWarmStart prior = {}) {
+    return SimilaritySolver::solve(graph, config, prior, false);
+  }
+};
+
 namespace {
 
 SimilarityConfig base_config() {
@@ -102,6 +112,50 @@ TEST(SimilarityParallel, StatsCountersAreConsistent) {
       if (!cache) {
         EXPECT_EQ(result.stats.action_pairs_cached, 0u);
       }
+      // A multi-sweep solve re-prices still-optimal plans.
+      ASSERT_GT(result.iterations, 2u);
+      EXPECT_GT(result.stats.action_pairs_reused, 0u);
+    }
+  }
+}
+
+// Plan reuse against the reference that solves every EMD afresh: the same
+// sweep count and similarities within 1e-12, in both cache modes and from
+// a warm start. Reuse must actually fire, and it takes work off the
+// solver rather than adding visits.
+TEST(SimilarityPlanReuse, MatchesFreshSolvesEverySweep) {
+  util::Rng rng{96};
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto graph = testutil::random_graph(rng, 18, 4, 3, 4);
+    for (const bool cache : {false, true}) {
+      SimilarityConfig cfg = base_config();
+      cfg.use_emd_cache = cache;
+      const auto reused = compute_structural_similarity(graph, cfg);
+      const auto fresh =
+          SimilarityTestAccess::solve_without_plan_reuse(graph, cfg);
+      EXPECT_EQ(reused.iterations, fresh.iterations);
+      EXPECT_EQ(reused.converged, fresh.converged);
+      EXPECT_LE(reused.state_similarity.linf_distance(fresh.state_similarity),
+                1e-12);
+      EXPECT_LE(
+          reused.action_similarity.linf_distance(fresh.action_similarity),
+          1e-12);
+      EXPECT_EQ(fresh.stats.action_pairs_reused, 0u);
+      EXPECT_GT(reused.stats.action_pairs_reused, 0u);
+      EXPECT_LT(reused.stats.action_pairs_computed,
+                fresh.stats.action_pairs_computed);
+      EXPECT_EQ(reused.stats.action_pairs_total,
+                fresh.stats.action_pairs_total);
+
+      // Warm-started from the reference's own converged result.
+      const SimilarityWarmStart prior{&graph, &fresh};
+      const auto warm = compute_structural_similarity(graph, cfg, prior);
+      const auto warm_fresh =
+          SimilarityTestAccess::solve_without_plan_reuse(graph, cfg, prior);
+      EXPECT_EQ(warm.iterations, warm_fresh.iterations);
+      EXPECT_LE(
+          warm.state_similarity.linf_distance(warm_fresh.state_similarity),
+          1e-12);
     }
   }
 }

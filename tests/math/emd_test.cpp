@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -314,6 +315,162 @@ TEST(Emd, DirectEntryRejectsWhatTheCallbackEntryRejects) {
   EXPECT_THROW(earth_movers_distance(good, good, std::vector<double>{0.0}),
                std::invalid_argument);
   EXPECT_EQ(earth_movers_distance(good, good, ground), 0.0);
+}
+
+// A random transport instance for the plan-reuse tests: supports up to
+// 6 x 6 with zero and tied masses, costs of exactly 0 and 1 among uniform
+// ones.
+struct PlanInstance {
+  std::vector<double> p;
+  std::vector<double> q;
+  std::vector<double> ground;  // row-major |p| x |q|
+};
+
+PlanInstance random_plan_instance(util::Rng& rng) {
+  const auto masses = [&rng](std::size_t n) {
+    std::vector<double> mass(n);
+    for (double& m : mass) {
+      const double roll = rng.uniform();
+      m = roll < 0.2 ? 0.0 : roll < 0.4 ? 0.25 : rng.uniform(0.01, 1.0);
+    }
+    if (std::all_of(mass.begin(), mass.end(),
+                    [](double m) { return m == 0.0; })) {
+      mass[rng.uniform_index(n)] = 0.5;
+    }
+    return mass;
+  };
+  PlanInstance in;
+  in.p = masses(1 + rng.uniform_index(6));
+  in.q = masses(1 + rng.uniform_index(6));
+  in.ground.resize(in.p.size() * in.q.size());
+  for (double& c : in.ground) {
+    const double roll = rng.uniform();
+    c = roll < 0.15 ? 0.0 : roll < 0.3 ? 1.0 : rng.uniform();
+  }
+  return in;
+}
+
+// Whether the plan's positive cells connect every positive-mass row and
+// column (union-find over rows then columns): the supports the reuse
+// check can certify.
+bool plan_spans_support(const PlanInstance& in,
+                        const std::vector<double>& plan) {
+  const std::size_t np = in.p.size();
+  const std::size_t nq = in.q.size();
+  std::vector<std::size_t> root(np + nq);
+  for (std::size_t k = 0; k < root.size(); ++k) root[k] = k;
+  const auto find = [&root](std::size_t k) {
+    while (root[k] != k) k = root[k];
+    return k;
+  };
+  for (std::size_t i = 0; i < np; ++i) {
+    for (std::size_t j = 0; j < nq; ++j) {
+      if (plan[i * nq + j] > 0.0) root[find(i)] = find(np + j);
+    }
+  }
+  std::size_t components = 0;
+  for (std::size_t k = 0; k < np + nq; ++k) {
+    const double mass = k < np ? in.p[k] : in.q[k - np];
+    if (mass > 0.0 && find(k) == k) ++components;
+  }
+  return components == 1;
+}
+
+// Under the ground it was solved for, the solver's own plan is certified
+// whenever its support spans every positive-mass point, and its re-priced
+// cost is the solver's result bit for bit.
+TEST(EmdPlanReuse, SolversPlanPassesUnderItsOwnGround) {
+  util::Rng rng{6161};
+  int spanning = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const PlanInstance in = random_plan_instance(rng);
+    std::vector<double> plan(in.ground.size(), -1.0);
+    const double emd = earth_movers_distance(in.p, in.q, in.ground, plan);
+    for (std::size_t i = 0; i < in.p.size(); ++i) {
+      for (std::size_t j = 0; j < in.q.size(); ++j) {
+        const double x = plan[i * in.q.size() + j];
+        EXPECT_GE(x, 0.0);
+        if (in.p[i] == 0.0 || in.q[j] == 0.0) {
+          EXPECT_EQ(x, 0.0);
+        }
+      }
+    }
+    const std::optional<double> reused =
+        reused_plan_cost(in.p, in.q, plan, in.ground);
+    if (plan_spans_support(in, plan)) {
+      ++spanning;
+      ASSERT_TRUE(reused.has_value()) << "trial " << trial;
+    }
+    if (reused) {
+      EXPECT_EQ(*reused, emd) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(spanning, 300);
+}
+
+// Under a perturbed ground, an accepted plan prices within the solver's
+// tolerance of a fresh solve; a plan the perturbation made suboptimal by
+// more than that is rejected.
+TEST(EmdPlanReuse, AcceptedPlanMatchesFreshSolveUnderPerturbedGround) {
+  util::Rng rng{6262};
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const PlanInstance in = random_plan_instance(rng);
+    std::vector<double> plan(in.ground.size());
+    earth_movers_distance(in.p, in.q, in.ground, plan);
+    for (const double scale : {1e-9, 1e-4, 1e-2, 0.3}) {
+      std::vector<double> moved = in.ground;
+      for (double& c : moved) {
+        c = std::clamp(c + scale * rng.uniform(-1.0, 1.0), 0.0, 1.0);
+      }
+      const double fresh = earth_movers_distance(in.p, in.q, moved);
+      double priced = 0.0;
+      for (std::size_t k = 0; k < plan.size(); ++k) {
+        priced += plan[k] * moved[k];
+      }
+      const std::optional<double> reused =
+          reused_plan_cost(in.p, in.q, plan, moved);
+      if (reused) {
+        ++accepted;
+        EXPECT_NEAR(*reused, fresh, 1e-12) << "trial " << trial;
+      } else {
+        ++rejected;
+      }
+      if (priced > fresh + 1e-9) {
+        EXPECT_FALSE(reused) << "trial " << trial;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 600);
+  EXPECT_GT(rejected, 100);
+}
+
+// A ground that makes another plan strictly cheaper: the diagonal plan of
+// a diagonal ground must not survive the anti-diagonal one.
+TEST(EmdPlanReuse, RejectsPlanThatAnotherPlanBeats) {
+  const std::vector<double> p{0.6, 0.4};
+  const std::vector<double> q{0.5, 0.5};
+  const std::vector<double> diagonal{0.0, 1.0, 1.0, 0.0};
+  std::vector<double> plan(4);
+  EXPECT_NEAR(earth_movers_distance(p, q, diagonal, plan), 0.1, 1e-15);
+  ASSERT_TRUE(reused_plan_cost(p, q, plan, diagonal).has_value());
+
+  const std::vector<double> anti{1.0, 0.0, 0.0, 1.0};
+  EXPECT_NEAR(earth_movers_distance(p, q, anti), 0.1, 1e-15);
+  EXPECT_FALSE(reused_plan_cost(p, q, plan, anti).has_value());
+  // The same plan under a slightly tilted diagonal ground is still optimal.
+  const std::vector<double> tilted{0.0, 0.9, 1.0, 0.05};
+  const std::optional<double> reused = reused_plan_cost(p, q, plan, tilted);
+  ASSERT_TRUE(reused.has_value());
+  EXPECT_NEAR(*reused, earth_movers_distance(p, q, tilted), 1e-15);
+
+  // Mis-shaped spans throw, from both entries.
+  std::vector<double> short_plan(3);
+  EXPECT_THROW(earth_movers_distance(p, q, diagonal, short_plan),
+               std::invalid_argument);
+  EXPECT_THROW(reused_plan_cost(p, q, short_plan, diagonal),
+               std::invalid_argument);
 }
 
 TEST(Emd, IdenticalDistributionsZero) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "device/phone.h"
+#include "util/rng.h"
 #include "workload/event.h"
 #include "workload/generators.h"
 #include "workload/trace.h"
@@ -112,6 +118,71 @@ TEST(TraceCursor, NextEventTime) {
   EXPECT_DOUBLE_EQ(cursor.next_event_time(5.0), 10.0);  // wraps to t=0
   EXPECT_DOUBLE_EQ(cursor.next_event_time(7.3), 10.0);
   EXPECT_DOUBLE_EQ(cursor.next_event_time(12.0), 15.0);
+}
+
+// The event a cursor reports, recomputed from scratch: the last event at
+// or before t's local time by binary search, the tail event before the
+// first one of a loop.
+std::size_t reference_index(const Trace& trace, double t) {
+  const auto& events = trace.events();
+  const double local = std::fmod(t, trace.horizon_s());
+  const auto it = std::upper_bound(
+      events.begin(), events.end(), local,
+      [](double value, const TraceEvent& e) { return value < e.time_s; });
+  if (it == events.begin()) return events.size() - 1;
+  return static_cast<std::size_t>(it - events.begin()) - 1;
+}
+
+// advance() walks forward from its last answer; it must agree with a
+// fresh binary search at every step, on monotone time (small steps and
+// long jumps), across loop wraps and when time runs backward.
+TEST(TraceCursor, AdvanceMatchesBinarySearchOnAnyTimeSequence) {
+  TraceBuilder tb{"t"};
+  util::Rng rng{515};
+  double at = 0.4;  // starts after 0: early local times get the tail event
+  for (int k = 0; k < 60; ++k) {
+    tb.add(at, {Syscall::kCpuBurst, static_cast<std::uint8_t>(k % 10)},
+           demand_with_util(k));
+    if (!rng.chance(0.2)) at += rng.uniform(0.0, 0.6);  // ties stay in
+  }
+  const Trace trace = std::move(tb).build(at + 0.5);
+  const double horizon = trace.horizon_s();
+
+  std::vector<std::vector<double>> sequences(4);
+  for (double t = 0.0; t < 3.0 * horizon; t += 0.05) {
+    sequences[0].push_back(t);  // small steps, wrapping twice
+  }
+  for (double t = 0.0; t < 6.0 * horizon; t += rng.uniform(0.0, 9.0)) {
+    sequences[1].push_back(t);  // long jumps, sometimes past a loop
+  }
+  for (double t = 4.0 * horizon; t > 0.0; t -= rng.uniform(0.0, 2.0)) {
+    sequences[2].push_back(t);  // backward
+  }
+  for (int k = 0; k < 400; ++k) {
+    sequences[3].push_back(rng.uniform(0.0, 3.0 * horizon));  // any order
+  }
+  // Event times themselves and their loop copies, exactly.
+  for (const TraceEvent& e : trace.events()) {
+    sequences[0].push_back(e.time_s + horizon);
+    sequences[3].push_back(e.time_s);
+  }
+
+  for (std::size_t s = 0; s < sequences.size(); ++s) {
+    TraceCursor cursor{trace};
+    std::size_t last_index = static_cast<std::size_t>(-1);
+    std::size_t last_loop = static_cast<std::size_t>(-1);
+    for (const double t : sequences[s]) {
+      const bool fired = cursor.advance(t);
+      const std::size_t index = reference_index(trace, t);
+      const auto loop = static_cast<std::size_t>(std::floor(t / horizon));
+      ASSERT_EQ(&cursor.current(), &trace.events()[index])
+          << "sequence " << s << ", t = " << t;
+      EXPECT_EQ(fired, index != last_index || loop != last_loop)
+          << "sequence " << s << ", t = " << t;
+      last_index = index;
+      last_loop = loop;
+    }
+  }
 }
 
 TEST(Trace, AveragePowerWeighsDurations) {
