@@ -125,6 +125,8 @@ const Cell::StepCoefficients& Cell::coefficients(double dt_s) {
     coefficients_.dt_bits = bits;
     coefficients_.kibam_decay = std::exp(-profile_->kibam_k_per_s * dt_s);
     coefficients_.surge_alpha = 1.0 - std::exp(-dt_s / profile_->surge_tau_s);
+    coefficients_.leak =
+        (profile_->self_discharge_per_day / kSecondsPerDay) * dt_s;
   }
   return coefficients_;
 }
@@ -149,14 +151,18 @@ Cell::DrawResult Cell::draw(util::Watts load, util::Seconds dt) {
   assert(dt_s > 0.0);
 
   // Self-discharge applies in every step, loaded or not.
-  const double leak =
-      (profile_->self_discharge_per_day / kSecondsPerDay) * dt_s;
+  const StepCoefficients& per_dt = coefficients(dt_s);
+  const double leak = per_dt.leak;
   const double leaked_charge = (y1_ + y2_) * leak;
   y1_ *= (1.0 - leak);
   y2_ *= (1.0 - leak);
-  result.losses = util::Joules{leaked_charge * ocv_at(available_fill())};
+  // The wells do not move again until kibam_step, so this one OCV prices
+  // the leak, sets the load's effective voltage and prices the chemical
+  // energy a delivered step releases.
+  const double ocv = ocv_at(available_fill());
+  result.losses = util::Joules{leaked_charge * ocv};
 
-  const double alpha = coefficients(dt_s).surge_alpha;
+  const double alpha = per_dt.surge_alpha;
   if (load.value() <= 0.0 || exhausted()) {
     // Rest: wells redistribute (recovery), the overpotential relaxes.
     kibam_step(0.0, dt_s);
@@ -168,7 +174,7 @@ Cell::DrawResult Cell::draw(util::Watts load, util::Seconds dt) {
     return result;
   }
 
-  const double v_eff = ocv_at(available_fill()) - v_rc_;
+  const double v_eff = ocv - v_rc_;
   const double i = solve_current(v_eff, load.value());
   const double v_terminal = i >= 0.0 ? v_eff - i * r0_ : 0.0;
   const double c_rate = i >= 0.0 ? i / labeled_capacity_ah_ : 0.0;
@@ -201,7 +207,6 @@ Cell::DrawResult Cell::draw(util::Watts load, util::Seconds dt) {
     return result;
   }
 
-  const double ocv = ocv_at(available_fill());
   kibam_step(well_current, dt_s);
   // V-edge dynamics: the reference current trails the load current, so a
   // step spikes the overpotential by R1 * dI and the dip then relaxes as

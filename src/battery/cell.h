@@ -98,14 +98,16 @@ class Cell {
  private:
   friend struct CellTestAccess;  // tests/battery/cell_test.cpp
 
-  /// The exp() coefficients of one step length. The engine steps at a few
-  /// fixed dts, so they are recomputed only when dt changes (compared
-  /// bitwise); the same argument gives the same bits, so the cache cannot
-  /// move a result. The initial key, +0.0 s, holds the exact dt = 0 values.
+  /// The per-dt coefficients of one step: the exp() terms and the
+  /// self-discharge fraction. The engine steps at a few fixed dts, so they
+  /// are recomputed only when dt changes (compared bitwise); the same
+  /// argument gives the same bits, so the cache cannot move a result. The
+  /// initial key, +0.0 s, holds the exact dt = 0 values.
   struct StepCoefficients {
     std::uint64_t dt_bits = 0;
     double kibam_decay = 1.0;  // exp(-k * dt)
     double surge_alpha = 0.0;  // 1 - exp(-dt / surge_tau): I_ref's EWMA
+    double leak = 0.0;         // self-discharge fraction lost per step
   };
   const StepCoefficients& coefficients(double dt_s);
 

@@ -167,6 +167,8 @@ SimResult SimEngine::run(const workload::Trace& trace,
   double unmet_s = 0.0;
   double last_consult_s = -1.0;
   double tec_power_w = 0.0;  // TEC draw decided last step (one-step lag)
+  device::ComponentPower comp;  // power of the demand served this step
+  double raw_demand_w = 0.0;    // unshaped demand power (arbiter runs)
   double sum_power_x_dt = 0.0;
   util::RunningStats cpu_temp_stats;
   util::RunningStats surface_temp_stats;
@@ -196,26 +198,26 @@ SimResult SimEngine::run(const workload::Trace& trace,
     const bool fired = cursor.advance(t);
     const workload::TraceEvent& event = cursor.current();
     const device::DeviceDemand& demand = event.demand;
-    // Budget shaping: each consumer trims its slice of the raw demand
-    // under the cap it was granted; the raw-minus-shaped draw is the shed
-    // power (user-visible throttling the budget bought safety with).
-    device::DeviceDemand shaped;
-    const device::DeviceDemand* served = &demand;
+    // The demand changes only when an event fires, so its power is priced
+    // once per event. Budget shaping: each consumer trims its slice of the
+    // raw demand under the cap it was granted (caps move between events,
+    // so the shaped power is priced every step); the raw-minus-shaped draw
+    // is the shed power (user-visible throttling the budget bought safety
+    // with).
     if (rig) {
-      shaped = demand;
+      if (fired) raw_demand_w = phone.power(demand).total().value();
+      device::DeviceDemand shaped = demand;
       rig->cpu.shape(shaped);
       rig->screen.shape(shaped);
       rig->wifi.shape(shaped);
-      served = &shaped;
-    }
-    const device::ComponentPower comp = phone.power(*served);
-    if (rig) {
-      const double shed_w =
-          phone.power(demand).total().value() - comp.total().value();
+      comp = phone.power(shaped);
+      const double shed_w = raw_demand_w - comp.total().value();
       if (shed_w > 1e-12) {
         ++throttled_steps;
         shed_j += shed_w * dt_s;
       }
+    } else if (fired) {
+      comp = phone.power(demand);
     }
 
     // The policy is consulted on every trace event; additionally, the rail

@@ -1,14 +1,17 @@
 #include "thermal/phone_thermal.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace capman::thermal {
 namespace {
 
-enum Node : std::size_t { kCpu, kBoard, kBattery, kSurface, kAmbient };
+using Node = PhoneThermal::Node;
+using enum PhoneThermal::Node;
 constexpr std::size_t kFree = kAmbient;  // nodes with a heat capacity
 constexpr std::size_t kNodes = kAmbient + 1;
 
@@ -97,9 +100,15 @@ util::Watts PhoneThermal::step(util::Watts cpu_power,
 
   const double total = dt.value();
   assert(total > 0.0);
-  const int substeps =
-      std::max(1, static_cast<int>(std::ceil(total / max_substep_s_)));
-  const double h = total / substeps;
+  const auto dt_bits = std::bit_cast<std::uint64_t>(total);
+  if (dt_bits != substep_dt_bits_) {
+    substep_dt_bits_ = dt_bits;
+    substeps_ =
+        std::max(1, static_cast<int>(std::ceil(total / max_substep_s_)));
+    substep_h_ = total / substeps_;
+  }
+  const int substeps = substeps_;
+  const double h = substep_h_;
   for (int s = 0; s < substeps; ++s) {
     std::array<double, kNodes> flux{};
     for (std::size_t e = 0; e < kEdges.size(); ++e) {
@@ -114,16 +123,6 @@ util::Watts PhoneThermal::step(util::Watts cpu_power,
     }
   }
   return tec_power;
-}
-
-util::Celsius PhoneThermal::cpu_temperature() const {
-  return util::Celsius{temperature_c_[kCpu]};
-}
-util::Celsius PhoneThermal::surface_temperature() const {
-  return util::Celsius{temperature_c_[kSurface]};
-}
-util::Celsius PhoneThermal::battery_temperature() const {
-  return util::Celsius{temperature_c_[kBattery]};
 }
 
 void PhoneThermal::reset(util::Celsius temperature) {

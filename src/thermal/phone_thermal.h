@@ -15,6 +15,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -46,10 +48,16 @@ struct PhoneThermalConfig {
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 
+struct PhoneThermalTestAccess;
+
 /// The phone's thermal network plus the TEC mounted across CPU (cold side)
 /// and surface (hot side).
 class PhoneThermal {
  public:
+  /// The network's nodes in storage order; ambient holds a temperature
+  /// but no heat capacity.
+  enum Node : std::size_t { kCpu, kBoard, kBattery, kSurface, kAmbient };
+
   explicit PhoneThermal(const PhoneThermalConfig& config = {},
                         const TecParams& tec_params = {});
 
@@ -59,9 +67,15 @@ class PhoneThermal {
   util::Watts step(util::Watts cpu_power, util::Watts battery_heat,
                    util::Watts other_power, util::Seconds dt);
 
-  [[nodiscard]] util::Celsius cpu_temperature() const;
-  [[nodiscard]] util::Celsius surface_temperature() const;
-  [[nodiscard]] util::Celsius battery_temperature() const;
+  [[nodiscard]] util::Celsius cpu_temperature() const {
+    return util::Celsius{temperature_c_[kCpu]};
+  }
+  [[nodiscard]] util::Celsius surface_temperature() const {
+    return util::Celsius{temperature_c_[kSurface]};
+  }
+  [[nodiscard]] util::Celsius battery_temperature() const {
+    return util::Celsius{temperature_c_[kBattery]};
+  }
 
   [[nodiscard]] Tec& tec() { return tec_; }
   [[nodiscard]] const Tec& tec() const { return tec_; }
@@ -71,12 +85,20 @@ class PhoneThermal {
   void reset(util::Celsius temperature);
 
  private:
-  // Indexed cpu, board, battery, surface, then ambient (temperature only).
+  friend struct PhoneThermalTestAccess;  // tests/thermal/phone_thermal_test.cpp
+
+  // Indexed by Node; ambient has no heat capacity.
   std::array<double, 5> temperature_c_{};
   std::array<double, 4> capacity_j_per_k_{};
   // Indexed like the edge table in phone_thermal.cpp.
   std::array<double, 6> conductance_w_per_k_{};
   double max_substep_s_ = 0.0;
+  // Substep count and length of the last dt (compared bitwise, like
+  // battery::Cell's coefficients); the initial key, +0.0 s, holds the
+  // dt = 0 values. The engine steps at one fixed dt.
+  std::uint64_t substep_dt_bits_ = 0;
+  int substeps_ = 1;
+  double substep_h_ = 0.0;
   Tec tec_;
 };
 

@@ -43,8 +43,4 @@ util::Amperes Tec::optimal_current(util::Celsius cold) const {
                        params_.resistance.value()};
 }
 
-util::Amperes Tec::operating_current() const {
-  return on_ ? params_.rated_current : util::Amperes{0.0};
-}
-
 }  // namespace capman::thermal

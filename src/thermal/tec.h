@@ -56,7 +56,9 @@ class Tec {
   void turn_off() { on_ = false; }
   [[nodiscard]] bool is_on() const { return on_; }
   /// Operating current right now (rated when on, zero when off).
-  [[nodiscard]] util::Amperes operating_current() const;
+  [[nodiscard]] util::Amperes operating_current() const {
+    return on_ ? params_.rated_current : util::Amperes{0.0};
+  }
 
  private:
   TecParams params_;

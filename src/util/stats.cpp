@@ -6,16 +6,6 @@
 
 namespace capman::util {
 
-void RunningStats::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 double RunningStats::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }

@@ -2,6 +2,7 @@
 // obs::TimeSeries.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <vector>
@@ -13,7 +14,15 @@ namespace capman::util {
 /// Welford online mean/variance plus min/max. O(1) per sample.
 class RunningStats {
  public:
-  void add(double x);
+  void add(double x) {
+    ++n_;
+    sum_ += x;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }

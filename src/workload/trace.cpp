@@ -1,8 +1,10 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 namespace capman::workload {
 
@@ -59,8 +61,11 @@ const TraceEvent& TraceCursor::current() const {
 double TraceCursor::next_event_time(double t) const {
   const auto& events = trace_->events();
   const double horizon = trace_->horizon_s();
-  const double local = std::fmod(t, horizon);
-  const std::size_t next = upper_bound_of(local, 0);
+  // At the last advanced time the cursor already holds both answers.
+  const bool at_last = std::bit_cast<std::uint64_t>(t) ==
+                       std::bit_cast<std::uint64_t>(last_t_);
+  const double local = at_last ? last_local_ : std::fmod(t, horizon);
+  const std::size_t next = at_last ? next_ : upper_bound_of(local, 0);
   if (next == events.size()) {
     // Wrap to the first event of the next loop.
     return t + (horizon - local) + events.front().time_s;
@@ -68,9 +73,32 @@ double TraceCursor::next_event_time(double t) const {
   return t + (events[next].time_s - local);
 }
 
+double TraceCursor::local_time(double t, std::size_t loop) {
+  const double horizon = trace_->horizon_s();
+  if (loop != base_loop_) {
+    // A new loop: cache its start loop * horizon, and keep it only when
+    // it is an exact multiple of the horizon (fmod is exact, so a zero
+    // remainder proves it; a tolerance would not).
+    constexpr std::size_t kExactIntegers = std::size_t{1} << 52;
+    base_loop_ = loop;
+    base_ = static_cast<double>(loop) * horizon;
+    // capman-lint: allow(float-compare)
+    base_exact_ = loop < kExactIntegers && std::fmod(base_, horizon) == 0.0;
+  }
+  // With base = n * horizon exactly and base <= t < base + horizon, t -
+  // base is exact (Sterbenz's lemma for n >= 1, trivially for n = 0) and
+  // equals fmod(t, horizon). A rounded difference cannot pass the range
+  // check: past 2 * base it is at least base >= horizon.
+  const double local = t - base_;
+  if (base_exact_ && local >= 0.0 && local < horizon) return local;
+  return std::fmod(t, horizon);
+}
+
 bool TraceCursor::advance(double t) {
   const auto& events = trace_->events();
-  const double local = std::fmod(t, trace_->horizon_s());
+  const auto loop =
+      static_cast<std::size_t>(std::floor(t / trace_->horizon_s()));
+  const double local = local_time(t, loop);
   // next_ becomes the first event strictly after `local`. Until local time
   // wraps it only moves forward, a step or two per call, so walk on from
   // the last call's answer and binary-search only what a long jump leaves.
@@ -82,12 +110,11 @@ bool TraceCursor::advance(double t) {
   } else {
     next_ = upper_bound_of(local, 0);
   }
+  last_t_ = t;
   last_local_ = local;
   // The last event at or before local; before the first event of a loop
   // the previous loop's tail demand is in force.
   const std::size_t idx = next_ == 0 ? events.size() - 1 : next_ - 1;
-  const auto loop =
-      static_cast<std::size_t>(std::floor(t / trace_->horizon_s()));
   const bool fired = idx != last_index_ || loop != last_loop_;
   last_index_ = idx;
   last_loop_ = loop;

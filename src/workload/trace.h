@@ -70,7 +70,10 @@ class TraceCursor {
   explicit TraceCursor(const Trace& trace);
 
   /// Advance to time t and report whether a new event fired since the last
-  /// call (the MDP observes transitions on events).
+  /// call (the MDP observes transitions on events). Local time is
+  /// fmod(t, horizon) bit for bit, but inside one loop it comes from one
+  /// subtraction off the loop's cached start time (see local_time), and
+  /// the next event is found by walking on from the last call's answer.
   bool advance(double t);
 
   /// The event in force at the time of the last `advance` call: the last
@@ -78,7 +81,9 @@ class TraceCursor {
   /// until the next event. Requires a prior `advance`.
   [[nodiscard]] const TraceEvent& current() const;
 
-  /// Absolute time of the next event strictly after t (looping).
+  /// Absolute time of the next event strictly after t (looping). At the
+  /// time of the last `advance` call it reads the answer that call found;
+  /// at any other t it searches the trace. Both give the same bits.
   [[nodiscard]] double next_event_time(double t) const;
 
  private:
@@ -86,14 +91,25 @@ class TraceCursor {
   /// `local` (events.size() if none).
   [[nodiscard]] std::size_t upper_bound_of(double local,
                                            std::size_t from) const;
+  /// fmod(t, horizon) for t in loop `loop` (floor(t / horizon)): t minus
+  /// the loop's cached start when that start is an exact multiple of the
+  /// horizon and t lies within the loop, fmod otherwise.
+  double local_time(double t, std::size_t loop);
 
   const Trace* trace_;
   std::size_t last_index_ = static_cast<std::size_t>(-1);
   std::size_t last_loop_ = static_cast<std::size_t>(-1);
-  // The local time of the last advance (+inf before the first, so it
-  // binary-searches) and the first event strictly after it.
+  // The time and local time of the last advance (NaN and +inf before the
+  // first, so next_event_time searches and advance binary-searches) and
+  // the first event strictly after it.
+  double last_t_ = std::numeric_limits<double>::quiet_NaN();
   double last_local_ = std::numeric_limits<double>::infinity();
   std::size_t next_ = 0;
+  // The loop local_time last cached the start of, that start, and whether
+  // it is an exact multiple of the horizon.
+  std::size_t base_loop_ = static_cast<std::size_t>(-1);
+  double base_ = 0.0;
+  bool base_exact_ = false;
 };
 
 }  // namespace capman::workload

@@ -13,8 +13,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "battery/cell.h"
 #include "sim/checkpoint.h"
 #include "util/sharding.h"
+#include "workload/generators.h"
+#include "workload/trace.h"
 
 namespace capman::sim {
 namespace {
@@ -453,6 +456,77 @@ TEST(FleetConfigValidate, BudgetErrorsCarryTheNestedPrefix) {
   config.base.budget.min_rebudget_gap_s = 0.0;
   EXPECT_TRUE(has_error(config.validate(),
                         "base.budget.min_rebudget_gap_s must be > 0"));
+}
+
+// Why Practice devices brown out within a minute in the sub-scale preset
+// (docs/FLEET.md §6). The Practice phone's single LCO cell carries the
+// device's big + LITTLE capacity, 700-1150 mAh here, and its series
+// resistance is 1.45 Ohm*Ah / capacity. A full cell therefore sags to the
+// 3.0 V cutoff at about 0.9C, before its 1C limit: at about 2.7 W per Ah,
+// 1.9 W for 700 mAh and 3.1 W for 1150 mAh, below the preset's bursts.
+// Device 0 of capman_fleet's default seed is driven step by step through
+// its trace; at its first brownout the cutoff-voltage check fails while
+// the C-rate and available-well checks cannot.
+TEST(FleetRunner, SubScalePracticeCellBrownsOutOnCutoffVoltage) {
+  FleetConfig config = small_fleet(1);
+  config.seed = 42;  // capman_fleet's default
+  const DeviceSpec spec =
+      FleetRunner::sample_device(config.population, config.seed, 0);
+  const double capacity_mah = spec.big_capacity_mah + spec.little_capacity_mah;
+  const device::PhoneModel phone{
+      spec.phone == FleetPhone::kHonor    ? device::honor_profile()
+      : spec.phone == FleetPhone::kLenovo ? device::lenovo_profile()
+                                          : device::nexus_profile()};
+  ASSERT_EQ(spec.workload.workload, FleetWorkload::kVideo);
+  const workload::Trace trace = workload::make_video()->generate(
+      config.population.trace_horizon, spec.seed);
+
+  // The engine agrees: device 0's Practice run dies of brownout early.
+  SimConfig device_config = config.base;
+  device_config.practice_capacity_mah = capacity_mah;
+  device_config.thermal_config.ambient = spec.ambient;
+  RunnerOptions options;
+  options.config = device_config;
+  options.seed = spec.seed;
+  const ExperimentRunner runner{phone, options};
+  const SimResult practice = runner.run(trace, PolicyKind::kPractice);
+  EXPECT_TRUE(practice.died_of_brownout);
+  EXPECT_LT(practice.service_time_s, 60.0);
+
+  battery::Cell cell{config.base.practice_chemistry, capacity_mah};
+  const battery::ChemistryProfile& profile = cell.profile();
+  workload::TraceCursor cursor{trace};
+  const util::Seconds dt = config.base.dt;
+  for (double t = 0.0; t < practice.service_time_s; t += dt.value()) {
+    cursor.advance(t);
+    const util::Watts load = phone.power(cursor.current().demand).total();
+    // The cell's limits before the draw: the current that sags the rail
+    // to cutoff through R0, and the most power it delivers above cutoff.
+    const double v_eff = cell.open_circuit_voltage().value() -
+                         cell.surge_overpotential().value();
+    const double v_cut = profile.cutoff_voltage_v;
+    const double i_cut = (v_eff - v_cut) / cell.series_resistance().value();
+    const double p_cut = v_cut * i_cut;
+    const double well_c = cell.available_charge().value();
+    if (!cell.draw(load, dt).brownout) continue;
+    SCOPED_TRACE("t = " + std::to_string(t) + " s, load " +
+                 std::to_string(load.value()) + " W, limit " +
+                 std::to_string(p_cut) + " W, " +
+                 std::to_string(capacity_mah) + " mAh");
+    EXPECT_FALSE(cell.exhausted());
+    // Cutoff voltage fails: the load needs more than the cell delivers
+    // above cutoff.
+    EXPECT_GT(load.value(), p_cut);
+    // The C-rate check cannot: every load the voltage allows draws under
+    // the 1C limit.
+    EXPECT_LT(i_cut / cell.capacity_ah(), profile.max_c_rate);
+    // Nor can the available well: it holds far more than such a step
+    // draws, even at the chemistry's worst delivery efficiency (0.52).
+    EXPECT_GT(well_c, 10.0 * i_cut / 0.52 * dt.value());
+    return;
+  }
+  FAIL() << "no brownout before the engine's death at "
+         << practice.service_time_s << " s";
 }
 
 TEST(FleetRunner, EnumNamesAreStable) {

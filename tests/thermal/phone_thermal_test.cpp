@@ -3,10 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace capman::thermal {
+
+struct PhoneThermalTestAccess {
+  static void forget_substeps(PhoneThermal& phone) {
+    phone.substep_dt_bits_ = 0;
+    phone.substeps_ = 1;
+    phone.substep_h_ = 0.0;
+  }
+};
+
 namespace {
 
 using util::Celsius;
@@ -327,6 +338,43 @@ TEST(PhoneThermal, ReproducesRecordedTrajectoryBitForBit) {
     EXPECT_EQ(rows[i].surface_c, kRecorded[i].surface_c) << "row " << i;
     EXPECT_EQ(rows[i].battery_c, kRecorded[i].battery_c) << "row " << i;
     EXPECT_EQ(rows[i].tec_w, kRecorded[i].tec_w) << "row " << i;
+  }
+}
+
+// The per-dt substep cache is exact: a network stepped through
+// alternating dts (one substep at 0.05 and 0.25 s, several at 5 s)
+// matches, bit for bit, one that recomputes its substeps on every step,
+// with the TEC both off and on.
+TEST(PhoneThermal, SubstepCacheMatchesCacheFreeReferenceBitForBit) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  PhoneThermal cached;
+  PhoneThermal reference;
+  const double dts[] = {0.05, 0.25, 5.0};
+  for (int k = 0; k < 3000; ++k) {
+    if (k % 400 == 200) {
+      cached.tec().turn_on();
+      reference.tec().turn_on();
+    } else if (k % 400 == 0) {
+      cached.tec().turn_off();
+      reference.tec().turn_off();
+    }
+    // Each dt runs twice, so the cache both hits and switches.
+    const Seconds dt{dts[(k / 2) % 3]};
+    const Watts cpu{0.5 + 0.25 * (k % 13)};
+    const Watts battery{0.125 * (k % 5)};
+    PhoneThermalTestAccess::forget_substeps(reference);
+    const double a = cached.step(cpu, battery, Watts{0.75}, dt).value();
+    const double b = reference.step(cpu, battery, Watts{0.75}, dt).value();
+    ASSERT_EQ(bits(a), bits(b)) << k;
+    ASSERT_EQ(bits(cached.cpu_temperature().value()),
+              bits(reference.cpu_temperature().value()))
+        << k;
+    ASSERT_EQ(bits(cached.surface_temperature().value()),
+              bits(reference.surface_temperature().value()))
+        << k;
+    ASSERT_EQ(bits(cached.battery_temperature().value()),
+              bits(reference.battery_temperature().value()))
+        << k;
   }
 }
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "device/phone.h"
@@ -183,6 +185,141 @@ TEST(TraceCursor, AdvanceMatchesBinarySearchOnAnyTimeSequence) {
       last_loop = loop;
     }
   }
+}
+
+// The cursor as it was before local time came from a cached loop start:
+// fmod on every advance, and a fresh binary search on every
+// next_event_time. The differential test below holds the cursor to it.
+class FmodReferenceCursor {
+ public:
+  explicit FmodReferenceCursor(const Trace& trace) : trace_(&trace) {}
+
+  bool advance(double t) {
+    const auto& events = trace_->events();
+    const double local = std::fmod(t, trace_->horizon_s());
+    if (local >= last_local_) {
+      constexpr std::size_t kWalk = 8;
+      const std::size_t stop = std::min(events.size(), next_ + kWalk);
+      while (next_ < stop && !(local < events[next_].time_s)) ++next_;
+      if (next_ == stop) next_ = upper_bound_of(local, next_);
+    } else {
+      next_ = upper_bound_of(local, 0);
+    }
+    last_local_ = local;
+    const std::size_t idx = next_ == 0 ? events.size() - 1 : next_ - 1;
+    const auto loop =
+        static_cast<std::size_t>(std::floor(t / trace_->horizon_s()));
+    const bool fired = idx != last_index_ || loop != last_loop_;
+    last_index_ = idx;
+    last_loop_ = loop;
+    return fired;
+  }
+
+  [[nodiscard]] const TraceEvent& current() const {
+    return trace_->events()[last_index_];
+  }
+
+  [[nodiscard]] double next_event_time(double t) const {
+    const auto& events = trace_->events();
+    const double horizon = trace_->horizon_s();
+    const double local = std::fmod(t, horizon);
+    const std::size_t next = upper_bound_of(local, 0);
+    if (next == events.size()) {
+      return t + (horizon - local) + events.front().time_s;
+    }
+    return t + (events[next].time_s - local);
+  }
+
+ private:
+  [[nodiscard]] std::size_t upper_bound_of(double local,
+                                           std::size_t from) const {
+    const auto& events = trace_->events();
+    const auto it = std::upper_bound(
+        events.begin() + static_cast<std::ptrdiff_t>(from), events.end(),
+        local,
+        [](double value, const TraceEvent& e) { return value < e.time_s; });
+    return static_cast<std::size_t>(it - events.begin());
+  }
+
+  const Trace* trace_;
+  std::size_t last_index_ = static_cast<std::size_t>(-1);
+  std::size_t last_loop_ = static_cast<std::size_t>(-1);
+  double last_local_ = std::numeric_limits<double>::infinity();
+  std::size_t next_ = 0;
+};
+
+// The cursor's cached-loop-start local time and its next_event_time
+// shortcut reproduce the fmod cursor bit for bit: the same `fired`, the
+// same event in force and the same next event time, queried both right
+// after an advance to t (the shortcut) and before it (the search). Time
+// accumulates by dt as in the engine, across many loop starts, then jumps
+// far forward and backward.
+TEST(TraceCursor, MatchesFmodReferenceCursorBitForBit) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const double horizons[] = {120.0, 600.0, 1.0 / 3.0, 7.3, 123.456, 86400.0};
+  const double dts[] = {0.05, 0.25, 0.1, 1.0 / 3.0};
+  util::Rng rng{2311};
+  std::size_t checks = 0;
+  for (const double horizon : horizons) {
+    // Events spread over the horizon, the first after 0 so early local
+    // times get the tail event; a few share a time.
+    TraceBuilder tb{"t"};
+    const int count = 40;
+    double at = 0.013 * horizon;
+    for (int k = 0; k < count; ++k) {
+      tb.add(at, {Syscall::kCpuBurst, static_cast<std::uint8_t>(k % 10)},
+             demand_with_util(k));
+      if (!rng.chance(0.1)) at += rng.uniform(0.0, 0.95 * horizon / count);
+    }
+    const Trace trace = std::move(tb).build(horizon);
+    for (const double dt : dts) {
+      TraceCursor cursor{trace};
+      FmodReferenceCursor reference{trace};
+      const auto check = [&](double t) {
+        // Before advancing: next_event_time searches.
+        ASSERT_EQ(bits(cursor.next_event_time(t)),
+                  bits(reference.next_event_time(t)))
+            << "horizon " << horizon << ", dt " << dt << ", t " << t;
+        ASSERT_EQ(cursor.advance(t), reference.advance(t))
+            << "horizon " << horizon << ", dt " << dt << ", t " << t;
+        ASSERT_EQ(&cursor.current(), &reference.current())
+            << "horizon " << horizon << ", dt " << dt << ", t " << t;
+        // After advancing: next_event_time reads the cursor.
+        ASSERT_EQ(bits(cursor.next_event_time(t)),
+                  bits(reference.next_event_time(t)))
+            << "horizon " << horizon << ", dt " << dt << ", t " << t;
+        ++checks;
+      };
+      // Accumulated time as the engine steps it: from 0, then from just
+      // before a far loop start (loop starts far out are rarely exact
+      // multiples of a non-integer horizon).
+      const double starts[] = {0.0, 1000.0 * horizon - 40.0 * dt,
+                               123457.0 * horizon - 40.0 * dt};
+      for (const double start : starts) {
+        double t = start;
+        const double span = std::min(3.0 * horizon, 20000.0 * dt);
+        while (t < start + span + 80.0 * dt) {
+          check(t);
+          if (::testing::Test::HasFatalFailure()) return;
+          t += dt;
+        }
+      }
+      // Long jumps forward, then backward.
+      double t = 0.0;
+      for (int k = 0; k < 300; ++k) {
+        t += rng.uniform(0.0, 7.0 * horizon);
+        check(t);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      for (int k = 0; k < 300 && t > 0.0; ++k) {
+        t -= rng.uniform(0.0, 2.0 * horizon);
+        if (t < 0.0) break;
+        check(t);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(checks, 100000u);
 }
 
 TEST(Trace, AveragePowerWeighsDurations) {
