@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 namespace capman::core {
 
@@ -15,22 +16,39 @@ std::string to_string(const DecisionAction& a) {
   return out;
 }
 
+namespace {
+
+// lower_bound over a vector sorted by the index member `field`.
+template <typename Vec, typename Field>
+auto lower_bound_by(Vec& v, std::size_t key, Field field) {
+  return std::lower_bound(
+      v.begin(), v.end(), key,
+      [field](const auto& e, std::size_t k) { return e.*field < k; });
+}
+
+}  // namespace
+
 Mdp::Mdp(double recency_decay, std::size_t action_count)
     : recency_decay_(recency_decay),
       action_count_(action_count),
-      pairs_(state_space_size() * action_count),
+      pairs_(state_space_size()),
       state_seen_(state_space_size(), 0) {
   assert(recency_decay_ > 0.0 && recency_decay_ <= 1.0);
   assert(action_count_ > 0 && action_count_ <= decision_action_space_size());
 }
 
+const Mdp::PairStats* Mdp::find(std::size_t s, std::size_t a) const {
+  const auto& stored = pairs_[s];
+  const auto it = lower_bound_by(stored, a, &PairStats::action);
+  return it != stored.end() && it->action == a ? &*it : nullptr;
+}
+
 const Mdp::Successor* Mdp::find(std::size_t s, std::size_t a,
                                 std::size_t next) const {
-  const auto& succ = pair(s, a).successors;
-  const auto it = std::lower_bound(
-      succ.begin(), succ.end(), next,
-      [](const Successor& c, std::size_t n) { return c.next < n; });
-  return it != succ.end() && it->next == next ? &*it : nullptr;
+  const PairStats* p = find(s, a);
+  if (p == nullptr) return nullptr;
+  const auto it = lower_bound_by(p->successors, next, &Successor::next);
+  return it != p->successors.end() && it->next == next ? &*it : nullptr;
 }
 
 void Mdp::observe(const Observation& obs) {
@@ -38,7 +56,13 @@ void Mdp::observe(const Observation& obs) {
   assert(obs.next_state < state_space_size());
   assert(obs.action.index() < action_count_);
   assert(obs.reward >= 0.0 && obs.reward <= 1.0);
-  PairStats& p = pairs_[obs.state * action_count_ + obs.action.index()];
+  auto& stored = pairs_[obs.state];
+  const std::size_t a = obs.action.index();
+  auto pit = lower_bound_by(stored, a, &PairStats::action);
+  if (pit == stored.end() || pit->action != a) {
+    pit = stored.insert(pit, PairStats{a, 0.0, {}});
+  }
+  PairStats& p = *pit;
   if (recency_decay_ < 1.0) {
     // Fade this pair's prior evidence before adding the new sample.
     // Unobserved successors hold zero evidence, which decay keeps at zero.
@@ -48,9 +72,7 @@ void Mdp::observe(const Observation& obs) {
     }
     p.count *= recency_decay_;
   }
-  auto it = std::lower_bound(
-      p.successors.begin(), p.successors.end(), obs.next_state,
-      [](const Successor& c, std::size_t n) { return c.next < n; });
+  auto it = lower_bound_by(p.successors, obs.next_state, &Successor::next);
   if (it == p.successors.end() || it->next != obs.next_state) {
     it = p.successors.insert(it, {obs.next_state, 0.0, 0.0});
   }
@@ -63,7 +85,8 @@ void Mdp::observe(const Observation& obs) {
 }
 
 double Mdp::count(std::size_t s, std::size_t a) const {
-  return pair(s, a).count;
+  const PairStats* p = find(s, a);
+  return p != nullptr ? p->count : 0.0;
 }
 
 double Mdp::count(std::size_t s, std::size_t a, std::size_t next) const {
@@ -74,9 +97,9 @@ double Mdp::count(std::size_t s, std::size_t a, std::size_t next) const {
 std::vector<double> Mdp::transition_distribution(std::size_t s,
                                                  std::size_t a) const {
   std::vector<double> dist(state_space_size(), 0.0);
-  const PairStats& p = pair(s, a);
-  if (p.count <= 0.0) return dist;
-  for (const Successor& c : p.successors) dist[c.next] = c.count / p.count;
+  const PairStats* p = find(s, a);
+  if (p == nullptr || p->count <= 0.0) return dist;
+  for (const Successor& c : p->successors) dist[c.next] = c.count / p->count;
   return dist;
 }
 
@@ -87,13 +110,13 @@ double Mdp::mean_reward(std::size_t s, std::size_t a,
 }
 
 double Mdp::mean_reward(std::size_t s, std::size_t a) const {
-  const PairStats& p = pair(s, a);
-  if (p.count <= 0.0) return 0.0;
+  const PairStats* p = find(s, a);
+  if (p == nullptr || p->count <= 0.0) return 0.0;
   // Ascending `next`, as a sum over all 48 successors would run; the
   // unobserved ones would only add exact zeros.
   double sum = 0.0;
-  for (const Successor& c : p.successors) sum += c.reward_sum;
-  return sum / p.count;
+  for (const Successor& c : p->successors) sum += c.reward_sum;
+  return sum / p->count;
 }
 
 std::vector<std::size_t> Mdp::visited_states() const {
@@ -107,14 +130,20 @@ std::vector<std::size_t> Mdp::visited_states() const {
 std::vector<std::size_t> Mdp::observed_actions(std::size_t s,
                                                double min_count) const {
   std::vector<std::size_t> out;
-  for (std::size_t a = 0; a < action_count_; ++a) {
-    if (pair(s, a).count >= min_count) out.push_back(a);
+  if (min_count <= 0.0) {
+    // An unobserved action's count, 0, clears a threshold <= 0 too.
+    out.resize(action_count_);
+    std::iota(out.begin(), out.end(), std::size_t{0});
+    return out;
+  }
+  for (const PairStats& p : pairs_[s]) {
+    if (p.count >= min_count) out.push_back(p.action);
   }
   return out;
 }
 
 void Mdp::clear() {
-  std::fill(pairs_.begin(), pairs_.end(), PairStats{});
+  for (auto& stored : pairs_) stored.clear();
   std::fill(state_seen_.begin(), state_seen_.end(), 0);
   total_ = 0;
 }

@@ -66,10 +66,14 @@ struct Observation {
   double reward;            // [0, 1]
 };
 
-/// Sparse transition/reward statistics over the 48-state space: each
-/// (state, action) pair keeps only the successor states it has actually
-/// been observed to reach, sorted by successor index, so memory grows with
-/// the observations rather than with (48 x A x 48).
+struct MdpTestAccess;
+
+/// Sparse transition/reward statistics over the 48-state space. Each state
+/// keeps only the actions it has been observed to take, in ascending action
+/// index, and each such (state, action) pair keeps only the successor
+/// states it has been observed to reach, in ascending successor index. So
+/// memory grows with the observations rather than with (48 x A), and every
+/// walk over the stored pairs runs in the order a dense scan would.
 ///
 /// `recency_decay` < 1 turns the statistics into exponentially weighted
 /// windows: each new observation of a (state, action) pair first scales the
@@ -82,6 +86,19 @@ struct Observation {
 /// must stay inside that plane (asserted).
 class Mdp {
  public:
+  /// One observed successor of a (state, action) pair; decayed.
+  struct Successor {
+    std::size_t next;
+    double count;
+    double reward_sum;
+  };
+  /// One observed (state, action) pair.
+  struct PairStats {
+    std::size_t action;                 // DecisionAction::index()
+    double count = 0.0;                 // decayed, over all successors
+    std::vector<Successor> successors;  // ascending `next`
+  };
+
   explicit Mdp(double recency_decay = 1.0,
                std::size_t action_count = decision_action_space_size());
 
@@ -105,36 +122,31 @@ class Mdp {
   /// State indices observed at least once (as source or target).
   [[nodiscard]] std::vector<std::size_t> visited_states() const;
   /// Action indices with at least `min_count` (decayed) observations from
-  /// state s.
+  /// state s, ascending. A `min_count` <= 0 admits every action in the
+  /// plane, observed or not.
   [[nodiscard]] std::vector<std::size_t> observed_actions(
       std::size_t s, double min_count) const;
+  /// The observed pairs of state s, in ascending action index.
+  [[nodiscard]] const std::vector<PairStats>& pairs(std::size_t s) const {
+    return pairs_[s];
+  }
 
   void clear();
 
   [[nodiscard]] std::size_t action_count() const { return action_count_; }
 
  private:
-  /// One observed successor of a (state, action) pair; decayed.
-  struct Successor {
-    std::size_t next;
-    double count;
-    double reward_sum;
-  };
-  struct PairStats {
-    double count = 0.0;                // decayed, over all successors
-    std::vector<Successor> successors;  // ascending `next`
-  };
+  friend struct MdpTestAccess;  // tests/core/mdp_test.cpp
 
-  [[nodiscard]] const PairStats& pair(std::size_t s, std::size_t a) const {
-    return pairs_[s * action_count_ + a];
-  }
+  /// The stored pair (s, a), or nullptr if never observed.
+  [[nodiscard]] const PairStats* find(std::size_t s, std::size_t a) const;
   /// The stored successor `next` of (s, a), or nullptr if never observed.
   [[nodiscard]] const Successor* find(std::size_t s, std::size_t a,
                                       std::size_t next) const;
 
   double recency_decay_;
   std::size_t action_count_;
-  std::vector<PairStats> pairs_;  // (s, a)
+  std::vector<std::vector<PairStats>> pairs_;  // [s], ascending action
   std::vector<std::uint8_t> state_seen_;
   std::uint64_t total_ = 0;
 };

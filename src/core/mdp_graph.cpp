@@ -22,21 +22,24 @@ MdpGraph MdpGraph::from_mdp(const Mdp& mdp, double min_observations) {
     graph.states_.push_back({state_id, {}});
   }
 
-  // Second pass: action vertices and transition edges.
+  // Second pass: action vertices and transition edges, straight from the
+  // stored pairs (ascending action) and successors (ascending next). The
+  // probability and reward are Mdp::transition_distribution's and
+  // Mdp::mean_reward's expressions, so every edge is bit-equal to theirs.
+  const double min_count = std::max(min_observations, 0.5);
   for (std::size_t vi = 0; vi < graph.states_.size(); ++vi) {
-    const std::size_t state_id = graph.states_[vi].state_id;
-    for (std::size_t action_id :
-         mdp.observed_actions(state_id, std::max(min_observations, 0.5))) {
+    for (const Mdp::PairStats& pair : mdp.pairs(graph.states_[vi].state_id)) {
+      if (!(pair.count >= min_count)) continue;
       ActionVertex av;
       av.source = vi;
-      av.action_id = action_id;
-      const auto dist = mdp.transition_distribution(state_id, action_id);
-      for (std::size_t next = 0; next < dist.size(); ++next) {
-        if (dist[next] <= 0.0) continue;
-        const std::size_t target_vertex = graph.state_to_vertex_[next];
+      av.action_id = pair.action;
+      for (const Mdp::Successor& c : pair.successors) {
+        const double probability = c.count / pair.count;
+        if (probability <= 0.0) continue;
+        const std::size_t target_vertex = graph.state_to_vertex_[c.next];
         assert(target_vertex != npos);  // targets were observed, so present
         av.transitions.push_back(
-            {target_vertex, dist[next], mdp.mean_reward(state_id, action_id, next)});
+            {target_vertex, probability, c.reward_sum / c.count});
       }
       if (av.transitions.empty()) continue;
       graph.states_[vi].actions.push_back(graph.actions_.size());

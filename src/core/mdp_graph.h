@@ -39,7 +39,9 @@ struct ActionVertex {
 /// action-neighbourhood N_u the Hausdorff step of Algorithm 1 compares.
 struct StateVertex {
   std::size_t state_id;  // CapmanState::index()
-  std::vector<std::size_t> actions;  // E edges: indices into action vertices
+  /// E edges: indices into action vertices. from_mdp appends them in
+  /// ascending action_id, which OnlineScheduler's lookup relies on.
+  std::vector<std::size_t> actions;
   /// No observed outgoing action: the Eq. 3 base cases pin this state's
   /// similarity row, and Algorithm 1 never recomputes it.
   [[nodiscard]] bool absorbing() const { return actions.empty(); }

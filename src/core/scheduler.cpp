@@ -1,5 +1,6 @@
 #include "core/scheduler.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -11,10 +12,6 @@ namespace capman::core {
 
 namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-std::uint64_t sa_key(std::size_t state_id, std::size_t action_id) {
-  return (static_cast<std::uint64_t>(state_id) << 16) | action_id;
-}
 
 std::size_t transfer_bucket(workload::Syscall kind,
                             battery::BatterySelection battery) {
@@ -61,13 +58,10 @@ double OnlineScheduler::recalibrate() {
 
   values_ = solve_values(graph_, config_.value_iteration_config());
 
-  action_vertex_index_.clear();
   for (auto& bucket : transfer_candidates_) bucket.clear();
   for (std::size_t av = 0; av < graph_.action_count(); ++av) {
-    const auto& a = graph_.action(av);
-    action_vertex_index_[sa_key(graph_.state(a.source).state_id,
-                                a.action_id)] = av;
-    const DecisionAction da = DecisionAction::from_index(a.action_id);
+    const DecisionAction da =
+        DecisionAction::from_index(graph_.action(av).action_id);
     transfer_candidates_[transfer_bucket(da.syscall.kind, da.battery)]
         .push_back(av);
   }
@@ -94,9 +88,19 @@ double OnlineScheduler::recalibrate() {
 
 double OnlineScheduler::solved_q(std::size_t state_id,
                                  std::size_t action_id) const {
-  const auto it = action_vertex_index_.find(sa_key(state_id, action_id));
-  if (it == action_vertex_index_.end()) return kNaN;
-  return values_.action_values[it->second];
+  const std::size_t vertex = graph_.vertex_of(state_id);
+  if (vertex == MdpGraph::npos) return kNaN;
+  // from_mdp lists each state's action vertices in ascending action_id.
+  const auto& actions = graph_.state(vertex).actions;
+  const auto it = std::lower_bound(
+      actions.begin(), actions.end(), action_id,
+      [this](std::size_t av, std::size_t id) {
+        return graph_.action(av).action_id < id;
+      });
+  if (it == actions.end() || graph_.action(*it).action_id != action_id) {
+    return kNaN;
+  }
+  return values_.action_values[*it];
 }
 
 double OnlineScheduler::best_q_over_levels(std::size_t state_id,

@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "core/config.h"
@@ -68,6 +68,8 @@ struct DecisionStats {
   /// is over (the engine does) — not per decision.
   void publish(obs::MetricsRegistry& registry) const;
 };
+
+struct SchedulerTestAccess;
 
 class OnlineScheduler : public obs::Instrumented {
  public:
@@ -121,6 +123,9 @@ class OnlineScheduler : public obs::Instrumented {
                                               std::uint8_t param_bucket = 9);
 
  private:
+  // tests/core/scheduler_controller_test.cpp
+  friend struct SchedulerTestAccess;
+
   /// Q-value of (state_id, action_id) from the last solve, or NaN.
   [[nodiscard]] double solved_q(std::size_t state_id,
                                 std::size_t action_id) const;
@@ -149,8 +154,6 @@ class OnlineScheduler : public obs::Instrumented {
   MdpGraph graph_;
   SimilarityResult similarity_;
   ValueIterationResult values_;
-  // (state_id << 16 | action_id) -> action vertex index of the last solve.
-  std::unordered_map<std::uint64_t, std::size_t> action_vertex_index_;
   // transferred_q's candidates: the action vertices of the last solve by
   // (syscall kind, battery), at kind * 2 + (LITTLE ? 1 : 0), each bucket
   // in ascending vertex order.

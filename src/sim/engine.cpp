@@ -169,6 +169,8 @@ SimResult SimEngine::run(const workload::Trace& trace,
   double tec_power_w = 0.0;  // TEC draw decided last step (one-step lag)
   device::ComponentPower comp;  // power of the demand served this step
   double raw_demand_w = 0.0;    // unshaped demand power (arbiter runs)
+  double shed_w = 0.0;          // raw minus shaped power (arbiter runs)
+  std::size_t priced_rebudgets = 0;  // rebudget_count() at the last pricing
   double sum_power_x_dt = 0.0;
   util::RunningStats cpu_temp_stats;
   util::RunningStats surface_temp_stats;
@@ -200,18 +202,23 @@ SimResult SimEngine::run(const workload::Trace& trace,
     const device::DeviceDemand& demand = event.demand;
     // The demand changes only when an event fires, so its power is priced
     // once per event. Budget shaping: each consumer trims its slice of the
-    // raw demand under the cap it was granted (caps move between events,
-    // so the shaped power is priced every step); the raw-minus-shaped draw
+    // raw demand under the cap it was granted; the raw-minus-shaped draw
     // is the shed power (user-visible throttling the budget bought safety
-    // with).
+    // with). Caps move only inside rebudget() and pricing is pure, so the
+    // shaped demand is re-priced only when an event fires or the arbiter
+    // has rebudgeted since the last pricing.
     if (rig) {
-      if (fired) raw_demand_w = phone.power(demand).total().value();
-      device::DeviceDemand shaped = demand;
-      rig->cpu.shape(shaped);
-      rig->screen.shape(shaped);
-      rig->wifi.shape(shaped);
-      comp = phone.power(shaped);
-      const double shed_w = raw_demand_w - comp.total().value();
+      const std::size_t rebudgets = rig->arbiter.rebudget_count();
+      if (fired || rebudgets != priced_rebudgets) {
+        if (fired) raw_demand_w = phone.power(demand).total().value();
+        device::DeviceDemand shaped = demand;
+        rig->cpu.shape(shaped);
+        rig->screen.shape(shaped);
+        rig->wifi.shape(shaped);
+        comp = phone.power(shaped);
+        shed_w = raw_demand_w - comp.total().value();
+        priced_rebudgets = rebudgets;
+      }
       if (shed_w > 1e-12) {
         ++throttled_steps;
         shed_j += shed_w * dt_s;

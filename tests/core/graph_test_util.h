@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/mdp_graph.h"
@@ -58,5 +59,33 @@ inline MdpGraph two_state_chain(double r0) {
   std::vector<ActionVertex> actions{a};
   return MdpGraph::from_parts(std::move(states), std::move(actions));
 }
+
+/// Random observations shaped like a learned MDP's stream: 24 hot actions
+/// spread over an `actions`-wide plane (its last index included) so pairs
+/// repeat, decay runs over many stored successors and most (state, action)
+/// cells stay empty; 80% of successors fall among the first six states,
+/// the rest anywhere, so both repeated and new successors keep arriving.
+class ObservationStream {
+ public:
+  ObservationStream(std::uint64_t seed, std::size_t actions)
+      : rng_(seed), hot_{0, actions - 1} {
+    while (hot_.size() < 24) hot_.push_back(rng_.uniform_index(actions));
+  }
+
+  Observation next() {
+    Observation obs;
+    obs.state = rng_.uniform_index(state_space_size());
+    obs.action =
+        DecisionAction::from_index(hot_[rng_.uniform_index(hot_.size())]);
+    obs.next_state = rng_.chance(0.8) ? rng_.uniform_index(6)
+                                      : rng_.uniform_index(state_space_size());
+    obs.reward = rng_.uniform();
+    return obs;
+  }
+
+ private:
+  util::Rng rng_;
+  std::vector<std::size_t> hot_;
+};
 
 }  // namespace capman::core::testutil

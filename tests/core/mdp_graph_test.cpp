@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "graph_test_util.h"
 
 namespace capman::core {
@@ -106,6 +111,90 @@ TEST(MdpGraph, FromPartsPreservesStructure) {
   EXPECT_TRUE(graph.state(1).absorbing());
   EXPECT_EQ(graph.vertex_of(0), 0u);
   EXPECT_EQ(graph.vertex_of(1), 1u);
+}
+
+// The graph as from_mdp built it from the public accessors before it
+// walked the stored pairs: an A-wide observed_actions scan per state and a
+// 48-wide transition distribution per action vertex.
+MdpGraph graph_from_accessors(const Mdp& mdp, double min_observations) {
+  std::vector<StateVertex> states;
+  std::vector<ActionVertex> actions;
+  std::vector<std::size_t> vertex_of(state_space_size(), MdpGraph::npos);
+  for (std::size_t state_id : mdp.visited_states()) {
+    vertex_of[state_id] = states.size();
+    states.push_back({state_id, {}});
+  }
+  for (std::size_t vi = 0; vi < states.size(); ++vi) {
+    const std::size_t state_id = states[vi].state_id;
+    for (std::size_t action_id : mdp.observed_actions(
+             state_id, std::max(min_observations, 0.5))) {
+      ActionVertex av{vi, action_id, {}};
+      const auto dist = mdp.transition_distribution(state_id, action_id);
+      for (std::size_t next = 0; next < dist.size(); ++next) {
+        if (dist[next] <= 0.0) continue;
+        av.transitions.push_back({vertex_of[next], dist[next],
+                                  mdp.mean_reward(state_id, action_id, next)});
+      }
+      if (av.transitions.empty()) continue;
+      states[vi].actions.push_back(actions.size());
+      actions.push_back(std::move(av));
+    }
+  }
+  return MdpGraph::from_parts(std::move(states), std::move(actions));
+}
+
+void expect_identical_graphs(const MdpGraph& got, const MdpGraph& want) {
+  ASSERT_EQ(got.state_count(), want.state_count());
+  ASSERT_EQ(got.action_count(), want.action_count());
+  for (std::size_t i = 0; i < want.state_count(); ++i) {
+    EXPECT_EQ(got.state(i).state_id, want.state(i).state_id);
+    EXPECT_EQ(got.state(i).actions, want.state(i).actions);
+    EXPECT_EQ(got.vertex_of(want.state(i).state_id), i);
+  }
+  for (std::size_t i = 0; i < want.action_count(); ++i) {
+    const ActionVertex& g = got.action(i);
+    const ActionVertex& w = want.action(i);
+    EXPECT_EQ(g.source, w.source);
+    EXPECT_EQ(g.action_id, w.action_id);
+    ASSERT_EQ(g.transitions.size(), w.transitions.size()) << i;
+    for (std::size_t e = 0; e < w.transitions.size(); ++e) {
+      EXPECT_EQ(g.transitions[e].to, w.transitions[e].to);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.transitions[e].probability),
+                std::bit_cast<std::uint64_t>(w.transitions[e].probability));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.transitions[e].reward),
+                std::bit_cast<std::uint64_t>(w.transitions[e].reward));
+    }
+  }
+}
+
+TEST(MdpGraph, FromMdpMatchesAccessorBuild) {
+  for (const std::size_t actions :
+       {base_decision_action_space_size(), decision_action_space_size()}) {
+    for (const double decay : {0.93, 1.0}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "actions " << actions << ", decay " << decay);
+      testutil::ObservationStream stream{actions + 7, actions};
+      Mdp mdp{decay, actions};
+      for (int i = 0; i < 10000; ++i) {
+        mdp.observe(stream.next());
+        if (i != 99 && i != 9999) continue;
+        // Thresholds below 0.5 clamp to it; 1.5 is the scheduler default.
+        for (const double min_obs : {0.0, 1.0, 1.5, 2.5}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "after " << i + 1 << ", min " << min_obs);
+          const MdpGraph graph = MdpGraph::from_mdp(mdp, min_obs);
+          expect_identical_graphs(graph, graph_from_accessors(mdp, min_obs));
+          // The scheduler's lookup binary-searches these lists.
+          for (const StateVertex& v : graph.states()) {
+            for (std::size_t k = 1; k < v.actions.size(); ++k) {
+              EXPECT_LT(graph.action(v.actions[k - 1]).action_id,
+                        graph.action(v.actions[k]).action_id);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,12 +4,24 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/state.h"
-#include "util/rng.h"
+#include "graph_test_util.h"
 
 namespace capman::core {
+
+struct MdpTestAccess {
+  /// (state, action) pairs the model holds storage for.
+  static std::size_t stored_pairs(const Mdp& mdp) {
+    std::size_t n = 0;
+    for (const auto& stored : mdp.pairs_) n += stored.size();
+    return n;
+  }
+};
+
 namespace {
 
 using battery::BatterySelection;
@@ -246,7 +258,8 @@ void expect_same_statistics(const Mdp& sparse, const DenseMdp& dense,
                             std::size_t actions) {
   EXPECT_EQ(sparse.visited_states(), dense.visited_states());
   for (std::size_t s = 0; s < state_space_size(); ++s) {
-    for (const double min_count : {0.1, 0.5, 1.0, 2.0, 5.0}) {
+    // Thresholds <= 0 admit the unobserved actions as well.
+    for (const double min_count : {-1.0, 0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 5.0}) {
       EXPECT_EQ(sparse.observed_actions(s, min_count),
                 dense.observed_actions(s, min_count));
     }
@@ -270,23 +283,12 @@ TEST(Mdp, SparseStatisticsMatchDenseReference) {
     for (const double decay : {0.93, 1.0}) {
       SCOPED_TRACE(::testing::Message()
                    << "actions " << actions << ", decay " << decay);
-      util::Rng rng{static_cast<std::uint64_t>(actions) * 31 +
-                    (decay < 1.0 ? 1 : 0)};
-      // A few hot actions spread over the plane (its last index included)
-      // so pairs repeat, decay runs over many stored successors and most
-      // cells stay empty, as in a learned MDP.
-      std::vector<std::size_t> hot{0, actions - 1};
-      while (hot.size() < 24) hot.push_back(rng.uniform_index(actions));
+      testutil::ObservationStream stream{
+          static_cast<std::uint64_t>(actions) * 31 + (decay < 1.0 ? 1 : 0),
+          actions};
       const auto feed = [&](Mdp& sparse, DenseMdp& dense, int n) {
         for (int i = 0; i < n; ++i) {
-          Observation obs;
-          obs.state = rng.uniform_index(state_space_size());
-          obs.action =
-              DecisionAction::from_index(hot[rng.uniform_index(hot.size())]);
-          obs.next_state = rng.chance(0.8) ? rng.uniform_index(6)
-                                           : rng.uniform_index(
-                                                 state_space_size());
-          obs.reward = rng.uniform();
+          const Observation obs = stream.next();
           sparse.observe(obs);
           dense.observe(obs);
         }
@@ -304,6 +306,27 @@ TEST(Mdp, SparseStatisticsMatchDenseReference) {
       feed(sparse, dense, 2000);
       expect_same_statistics(sparse, dense, actions);
     }
+  }
+}
+
+TEST(Mdp, StoresOnlyObservedPairs) {
+  for (const std::size_t actions :
+       {base_decision_action_space_size(), decision_action_space_size()}) {
+    SCOPED_TRACE(::testing::Message() << "actions " << actions);
+    Mdp mdp{0.93, actions};
+    EXPECT_EQ(MdpTestAccess::stored_pairs(mdp), 0u);
+    testutil::ObservationStream stream{actions, actions};
+    std::set<std::pair<std::size_t, std::size_t>> seen;
+    for (int i = 0; i < 10000; ++i) {
+      const Observation obs = stream.next();
+      mdp.observe(obs);
+      seen.emplace(obs.state, obs.action.index());
+      if (i == 0 || i == 99 || i == 9999) {
+        EXPECT_EQ(MdpTestAccess::stored_pairs(mdp), seen.size()) << i;
+      }
+    }
+    mdp.clear();
+    EXPECT_EQ(MdpTestAccess::stored_pairs(mdp), 0u);
   }
 }
 

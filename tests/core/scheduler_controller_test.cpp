@@ -1,11 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "core/controller.h"
 #include "core/degradation.h"
 #include "core/profiler.h"
 #include "core/scheduler.h"
+#include "util/rng.h"
 
 namespace capman::core {
+
+struct SchedulerTestAccess {
+  static double solved_q(const OnlineScheduler& sched, std::size_t state_id,
+                         std::size_t action_id) {
+    return sched.solved_q(state_id, action_id);
+  }
+  static double best_q_over_levels(const OnlineScheduler& sched,
+                                   std::size_t state_id,
+                                   const workload::Action& event,
+                                   battery::BatterySelection battery,
+                                   BudgetLevel* best_level) {
+    return sched.best_q_over_levels(state_id, event, battery, best_level);
+  }
+};
+
 namespace {
 
 using battery::BatterySelection;
@@ -268,6 +291,120 @@ TEST(Scheduler, LearnsBudgetLevelJointly) {
   const DecideResult result = sched.decide(req);
   EXPECT_EQ(result.battery, BatterySelection::kBig);
   EXPECT_EQ(result.budget, BudgetLevel::kEco);
+}
+
+// Same bits, or both NaN.
+bool same_q(double a, double b) {
+  return std::isnan(a) ? std::isnan(b)
+                       : std::bit_cast<std::uint64_t>(a) ==
+                             std::bit_cast<std::uint64_t>(b);
+}
+
+// Checks solved_q and best_q_over_levels, for every (state, action) of
+// the plane, against a (state_id, action_id) -> action vertex map built
+// from the solved graph: the hash index the scheduler kept before it
+// looked vertices up through the graph.
+void expect_lookup_matches_map(const OnlineScheduler& sched,
+                               bool learn_budget) {
+  const MdpGraph& graph = sched.graph();
+  const std::vector<double>& q = sched.values().action_values;
+  std::map<std::pair<std::size_t, std::size_t>, std::size_t> index;
+  for (std::size_t av = 0; av < graph.action_count(); ++av) {
+    const ActionVertex& a = graph.action(av);
+    index[{graph.state(a.source).state_id, a.action_id}] = av;
+  }
+  const auto reference_q = [&](std::size_t s, std::size_t a) {
+    const auto it = index.find({s, a});
+    return it == index.end() ? std::nan("") : q[it->second];
+  };
+  std::size_t present = 0;
+  std::size_t mismatches = 0;
+  for (std::size_t s = 0; s < state_space_size(); ++s) {
+    for (std::size_t a = 0; a < sched.mdp().action_count(); ++a) {
+      const double want = reference_q(s, a);
+      if (!std::isnan(want)) ++present;
+      if (!same_q(SchedulerTestAccess::solved_q(sched, s, a), want)) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(present, graph.action_count());
+  EXPECT_EQ(mismatches, 0u);
+
+  const std::size_t levels = learn_budget ? kBudgetLevelCount : 1;
+  std::size_t answered = 0;
+  mismatches = 0;
+  for (std::size_t s = 0; s < state_space_size(); ++s) {
+    for (std::size_t e = 0; e < workload::action_space_size(); ++e) {
+      const Action event = Action::from_index(e);
+      for (const BatterySelection b :
+           {BatterySelection::kBig, BatterySelection::kLittle}) {
+        double want = std::nan("");
+        BudgetLevel want_level = BudgetLevel::kFull;
+        for (std::size_t l = 0; l < levels; ++l) {
+          const auto level = static_cast<BudgetLevel>(l);
+          const double v =
+              reference_q(s, DecisionAction{event, b, level}.index());
+          if (!std::isnan(v) && (std::isnan(want) || v > want)) {
+            want = v;
+            want_level = level;
+          }
+        }
+        BudgetLevel got_level = BudgetLevel::kEco;
+        const double got = SchedulerTestAccess::best_q_over_levels(
+            sched, s, event, b, &got_level);
+        if (!std::isnan(want)) ++answered;
+        if (!same_q(got, want) || got_level != want_level) ++mismatches;
+      }
+    }
+  }
+  EXPECT_GT(answered, 0u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Scheduler, SolvedLookupMatchesVertexMap) {
+  for (const bool learn_budget : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "learn_budget " << learn_budget);
+    CapmanConfig cfg;  // decay 0.93, min_observations 1.5
+    cfg.learn_budget = learn_budget;
+    OnlineScheduler sched{cfg, 1};
+    // A few states, each with its own random subset of a few syscalls x
+    // batteries x levels, so the graph is scheduler-sized and some pairs
+    // stay below min_observations.
+    util::Rng rng{learn_budget ? 17u : 5u};
+    const std::vector<std::size_t> states{0, 5, 11, 17, 23, 30, 41, 47};
+    const std::vector<std::size_t> syscalls{
+        0, 37, 120, workload::action_space_size() - 1};
+    const std::size_t levels = learn_budget ? kBudgetLevelCount : 1;
+    std::vector<std::vector<DecisionAction>> taken(states.size());
+    for (auto& acts : taken) {
+      for (const std::size_t e : syscalls) {
+        for (const BatterySelection b :
+             {BatterySelection::kBig, BatterySelection::kLittle}) {
+          for (std::size_t l = 0; l < levels; ++l) {
+            if (rng.chance(0.35)) {
+              acts.push_back({Action::from_index(e), b,
+                              static_cast<BudgetLevel>(l)});
+            }
+          }
+        }
+      }
+    }
+    for (int round = 0; round < 2; ++round) {
+      for (int i = 0; i < 1500; ++i) {
+        const std::size_t si = rng.uniform_index(states.size());
+        if (taken[si].empty()) continue;
+        Observation obs;
+        obs.state = states[si];
+        obs.action = taken[si][rng.uniform_index(taken[si].size())];
+        obs.next_state = states[rng.uniform_index(states.size())];
+        obs.reward = rng.uniform();
+        sched.observe(obs);
+      }
+      sched.recalibrate();
+      expect_lookup_matches_map(sched, learn_budget);
+    }
+  }
 }
 
 TEST(Scheduler, RecalibrationCountsAndTiming) {
