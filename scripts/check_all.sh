@@ -7,7 +7,7 @@
 # --fast runs only the checks that need no compilation — docs, format,
 # every capman-lint rule except L5, the lint/schema self-tests — which
 # finishes in seconds and is the right pre-commit loop. The full run adds
-# the sanitizer rebuilds (asan/ubsan/tsan), clang-tidy, header hygiene,
+# the sanitizer rebuilds (asan+ubsan, tsan), clang-tidy, header hygiene,
 # thread-safety, the fleet smoke, the crash-resume smoke, and the
 # advisory observability-overhead check.
 #
@@ -71,7 +71,6 @@ if [ "$fast" -eq 0 ]; then
   run_check clang-tidy      "$repo_root/scripts/check_tidy.sh" "$build_dir"
   run_check thread-safety   "$repo_root/scripts/check_thread_safety.sh"
   run_check asan            "$repo_root/scripts/check_asan.sh"
-  run_check ubsan           "$repo_root/scripts/check_ubsan.sh"
   run_check tsan            "$repo_root/scripts/check_tsan.sh"
 
   # Small-fleet smoke: the FleetRunner bit-identity contract on 10^3

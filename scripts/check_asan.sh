@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Builds the actuator-path test suites under AddressSanitizer + UBSan
-# (-DCAPMAN_SANITIZE=ON) and runs the fast fault-injection / switch-
-# facility / degradation-guard tests under them. Wired into CTest as the
+# Builds the actuator-path and unit-arithmetic test suites under
+# AddressSanitizer + UBSan (-DCAPMAN_SANITIZE=ON) and runs them: the fast
+# fault-injection / switch-facility / degradation-guard tests, plus the
+# util::units strong types, the power-budget arbiter and the PowerConsumer
+# shaping path — the surfaces where a signed overflow, float-cast overflow
+# or invalid enum load would land first. Wired into CTest as the
 # `sanitize_smoke` test; run manually with:
 #
 #   scripts/check_asan.sh [build-dir]      # default: build-asan
@@ -17,7 +20,9 @@ build_dir="${1:-$repo_root/build-asan}"
 cmake -B "$build_dir" -S "$repo_root" -DCAPMAN_SANITIZE=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$build_dir" -j \
-      --target sim_faults_test battery_switcher_supercap_test >/dev/null
+      --target sim_faults_test battery_switcher_supercap_test \
+               util_units_test core_power_budget_test \
+               device_power_consumer_test >/dev/null
 
 filter='FaultPlan.*:FaultySwitchFacility.*:SensorChannel.*:DegradationGuard.*'
 filter="$filter:FaultInjection.FullChaosSmoke"
@@ -27,5 +32,8 @@ export UBSAN_OPTIONS=print_stacktrace=1
 "$build_dir/tests/sim_faults_test" --gtest_filter="$filter" \
     --gtest_brief=1
 "$build_dir/tests/battery_switcher_supercap_test" --gtest_brief=1
+"$build_dir/tests/util_units_test" --gtest_brief=1
+"$build_dir/tests/core_power_budget_test" --gtest_brief=1
+"$build_dir/tests/device_power_consumer_test" --gtest_brief=1
 
-echo "check_asan: sanitized fault/switch suites passed"
+echo "check_asan: sanitized fault/switch/units suites passed"

@@ -26,24 +26,6 @@ Cell::Cell(Chemistry chemistry, double labeled_capacity_mah)
   r1_ = profile_->surge_resistance_ohm_at_1ah / labeled_capacity_ah_;
 }
 
-util::Coulombs Cell::charge(util::Amperes current, util::Seconds dt,
-                            double efficiency) {
-  assert(efficiency > 0.0 && efficiency <= 1.0);
-  if (current.value() <= 0.0) return util::Coulombs{0.0};
-  const double offered = current.value() * dt.value() * efficiency;
-  const double room = full_charge_c_ - (y1_ + y2_);
-  const double accepted = std::clamp(offered, 0.0, std::max(room, 0.0));
-  // Charge enters the available well; the well exchange moves it onward.
-  y1_ += accepted;
-  kibam_step(0.0, dt.value());
-  // Charging resets the discharge surge state.
-  v_rc_ = 0.0;
-  i_ref_ = 0.0;
-  return util::Coulombs{accepted};
-}
-
-bool Cell::full() const { return soc() >= 0.995; }
-
 void Cell::recharge() {
   y1_ = profile_->kibam_c * full_charge_c_;
   y2_ = (1.0 - profile_->kibam_c) * full_charge_c_;

@@ -83,15 +83,6 @@ class Cell {
     return util::Ohms{r0_};
   }
 
-  /// Push charging current into the cell for dt (charge enters the
-  /// available well and redistributes). Returns the coulombs accepted
-  /// (less than current*dt*efficiency when the cell tops out).
-  util::Coulombs charge(util::Amperes current, util::Seconds dt,
-                        double efficiency = 1.0);
-
-  /// True when the cell holds (nearly) its full charge.
-  [[nodiscard]] bool full() const;
-
   /// Reset to full charge (fresh discharge cycle).
   void recharge();
 

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 
+#include "util/config_check.h"
+
 namespace capman::battery {
 
 // ---- SingleBatteryPack --------------------------------------------------
@@ -56,9 +58,7 @@ std::vector<std::string> DualPackConfig::validate() const {
   if (!(baseline_tau.value() > 0.0)) {
     errors.push_back("baseline_tau must be > 0");
   }
-  for (auto& error : switch_config.validate()) {
-    errors.push_back("switch_config: " + error);
-  }
+  util::append_errors(errors, "switch_config: ", switch_config.validate());
   return errors;
 }
 

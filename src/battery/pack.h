@@ -154,9 +154,6 @@ class DualBatteryPack final : public PowerSource {
 
   [[nodiscard]] const Cell& big_cell() const { return big_; }
   [[nodiscard]] const Cell& little_cell() const { return little_; }
-  /// Mutable cell access for charging (battery::Charger).
-  [[nodiscard]] Cell& big_cell_mut() { return big_; }
-  [[nodiscard]] Cell& little_cell_mut() { return little_; }
   [[nodiscard]] const SwitchFacility& switch_facility() const {
     return *switch_;
   }

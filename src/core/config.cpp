@@ -2,6 +2,7 @@
 
 #include "core/similarity.h"
 #include "core/value_iteration.h"
+#include "util/config_check.h"
 
 namespace capman::core {
 
@@ -44,12 +45,9 @@ std::vector<std::string> CapmanConfig::validate() const {
   require(min_switch_dwell.value() >= 0.0, "min_switch_dwell must be >= 0");
   require(maintenance_power.value() >= 0.0,
           "maintenance_power must be >= 0");
-  for (auto& error : similarity_config().validate()) {
-    errors.push_back("similarity: " + error);
-  }
-  for (auto& error : value_iteration_config().validate()) {
-    errors.push_back("value_iteration: " + error);
-  }
+  util::append_errors(errors, "similarity: ", similarity_config().validate());
+  util::append_errors(errors, "value_iteration: ",
+                      value_iteration_config().validate());
   return errors;
 }
 

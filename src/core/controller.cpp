@@ -1,7 +1,8 @@
 #include "core/controller.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "util/config_check.h"
 
 namespace capman::core {
 
@@ -19,14 +20,7 @@ CapmanController::CapmanController(const CapmanConfig& config,
       scheduler_(config, seed),
       next_recalibration_s_(config.recalibration_interval.value()),
       recal_interval_s_(config.recalibration_interval.value()) {
-  const auto errors = config_.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid CapmanConfig:";
-    for (const auto& error : errors) {
-      message += "\n  - " + error;
-    }
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("CapmanConfig", config_.validate());
 }
 
 battery::BatterySelection CapmanController::on_event(

@@ -1,7 +1,8 @@
 #include "core/degradation.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "util/config_check.h"
 
 namespace capman::core {
 
@@ -32,14 +33,7 @@ void DegradationStats::publish(obs::MetricsRegistry& registry) const {
 DegradationGuard::DegradationGuard(const DegradationConfig& config)
     : config_(config) {
   if (!config_.enabled) return;  // disabled guard never reads its knobs
-  const auto errors = config_.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid DegradationConfig:";
-    for (const auto& error : errors) {
-      message += "\n  - " + error;
-    }
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("DegradationConfig", config_.validate());
 }
 
 battery::BatterySelection DegradationGuard::filter(

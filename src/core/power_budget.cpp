@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+
+#include "util/config_check.h"
 
 namespace capman::core {
 
@@ -136,14 +137,7 @@ std::vector<std::string> PowerBudgetArbiterConfig::validate() const {
 
 PowerBudgetArbiter::PowerBudgetArbiter(const PowerBudgetArbiterConfig& config)
     : config_(config) {
-  const auto errors = config_.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid PowerBudgetArbiterConfig:";
-    for (const auto& error : errors) {
-      message += "\n  - " + error;
-    }
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("PowerBudgetArbiterConfig", config_.validate());
 }
 
 util::Milliwatts PowerBudgetArbiter::derive_budget_mw(

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/json_append.h"
+#include "util/config_check.h"
 
 namespace capman::obs {
 
@@ -36,24 +37,9 @@ std::vector<std::string> FlightRecorderConfig::validate() const {
   return errors;
 }
 
-namespace {
-
-void check(const FlightRecorderConfig& config) {
-  const auto errors = config.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid FlightRecorderConfig:";
-    for (const auto& error : errors) {
-      message += "\n  - " + error;
-    }
-    throw std::invalid_argument(message);
-  }
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(const FlightRecorderConfig& config)
     : config_(config) {
-  check(config_);
+  util::throw_if_invalid("FlightRecorderConfig", config_.validate());
   ring_.reserve(config_.capacity);
 }
 
@@ -66,7 +52,7 @@ FlightRecorder::FlightRecorder(const FlightRecorderConfig& config,
   if (patched.enabled && patched.dump_path.empty()) {
     patched.dump_path = "<stream>";
   }
-  check(patched);
+  util::throw_if_invalid("FlightRecorderConfig", patched.validate());
   ring_.reserve(config_.capacity);
 }
 

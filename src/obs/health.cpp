@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/json_append.h"
+#include "util/config_check.h"
 
 namespace capman::obs {
 
@@ -114,14 +114,7 @@ double HealthMonitor::Window::slope_per_s() const {
 }
 
 HealthMonitor::HealthMonitor(const HealthConfig& config) : config_(config) {
-  const auto errors = config_.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid HealthConfig:";
-    for (const auto& error : errors) {
-      message += "\n  - " + error;
-    }
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("HealthConfig", config_.validate());
   tte_s_ = std::numeric_limits<double>::infinity();
 }
 

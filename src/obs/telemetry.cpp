@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "obs/openmetrics.h"
+#include "util/config_check.h"
 
 namespace capman::obs {
 
@@ -15,15 +16,9 @@ std::vector<std::string> TelemetryConfig::validate() const {
   if (verbose_spans && !spans_enabled()) {
     errors.push_back("verbose_spans requires spans_path to be set");
   }
-  for (const auto& error : sampler.validate()) {
-    errors.push_back("sampler." + error);
-  }
-  for (const auto& error : recorder.validate()) {
-    errors.push_back("recorder." + error);
-  }
-  for (const auto& error : health.validate()) {
-    errors.push_back("health." + error);
-  }
+  util::append_errors(errors, "sampler.", sampler.validate());
+  util::append_errors(errors, "recorder.", recorder.validate());
+  util::append_errors(errors, "health.", health.validate());
   // Each enabled sink writes (and truncates) its own file; two sinks
   // sharing a path would silently clobber each other.
   const struct {

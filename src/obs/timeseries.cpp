@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/json_append.h"
+#include "util/config_check.h"
 
 namespace capman::obs {
 
@@ -82,14 +83,7 @@ std::vector<std::string> SamplerConfig::validate() const {
 }
 
 MetricsSampler::MetricsSampler(const SamplerConfig& config) : config_(config) {
-  const auto errors = config_.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid SamplerConfig:";
-    for (const auto& error : errors) {
-      message += "\n  - " + error;
-    }
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("SamplerConfig", config_.validate());
 }
 
 std::size_t MetricsSampler::channel(std::string name) {

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+
+#include "util/config_check.h"
 
 namespace capman::policy {
 
@@ -21,14 +22,7 @@ std::vector<std::string> OracleConfig::validate() const {
 }
 
 OraclePolicy::OraclePolicy(const OracleConfig& config) : config_(config) {
-  const auto errors = config_.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid OracleConfig:";
-    for (const auto& error : errors) {
-      message += "\n  - " + error;
-    }
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("OracleConfig", config_.validate());
 }
 
 double OraclePolicy::interval_cost(battery::Cell cell, double avg_w,

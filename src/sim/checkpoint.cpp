@@ -343,6 +343,105 @@ void put_chemistries(
   }
 }
 
+template <typename Tag>
+void put_strong(std::string& out, util::Strong<Tag, double> value) {
+  // capman-lint: allow(raw-unit, fingerprinting the exact stored value)
+  put_double(out, value.raw());
+}
+
+void put_split(std::string& out, const core::CorecapSplit& split) {
+  put_strong(out, split.cpu_mw);
+  put_strong(out, split.screen_mw);
+  put_strong(out, split.wifi_mw);
+  put_strong(out, split.tec_mw);
+}
+
+void put_budget(std::string& out, const core::PowerBudgetArbiterConfig& b) {
+  put_u8(out, b.enabled ? 1 : 0);
+  put_u8(out, static_cast<std::uint8_t>(b.cap_method));
+  put_strong(out, b.base_budget_mw);
+  put_strong(out, b.min_budget_mw);
+  put_double(out, b.soc_floor);
+  put_double(out, b.soc_knee);
+  put_double(out, b.rail_min_v);
+  put_double(out, b.nominal_v);
+  put_double(out, b.rebudget_trigger_v);
+  put_double(out, b.min_rebudget_gap_s);
+  put_double(out, b.supercap_margin_fill);
+  put_double(out, b.skin_soft_c);
+  put_double(out, b.skin_hard_c);
+  put_double(out, b.cell_soft_c);
+  put_double(out, b.cell_hard_c);
+  put_double(out, b.static_margin);
+  for (const util::Ratio fraction : b.level_fraction) {
+    put_strong(out, fraction);
+  }
+  put_double(out, b.cooling_priority_hotspot_c);
+  put_u64(out, b.corecaps.size());
+  for (const core::CorecapRow& row : b.corecaps) {
+    put_strong(out, row.budget_mw);
+    put_split(out, row.cpu_priority);
+    put_split(out, row.cooling_priority);
+  }
+}
+
+// Every CapmanConfig knob except similarity_threads: Algorithm 1 is
+// bit-identical for any thread count (core/similarity.h).
+void put_capman(std::string& out, const core::CapmanConfig& c) {
+  put_double(out, c.rho);
+  put_double(out, c.c_s);
+  put_double(out, c.c_a);
+  put_double(out, c.epsilon);
+  put_u64(out, c.max_iterations);
+  put_double(out, c.absorbing_distance);
+  put_double(out, c.recalibration_interval.value());
+  put_double(out, c.min_observations);
+  put_double(out, c.recency_decay);
+  put_double(out, c.exploration_initial);
+  put_double(out, c.exploration_decay_per_event);
+  put_double(out, c.exploration_floor);
+  put_double(out, c.min_switch_dwell.value());
+  put_double(out, c.maintenance_power.value());
+  put_u8(out, c.learn_budget ? 1 : 0);
+}
+
+// The pack knobs a device keeps: sample_device() replaces the chemistries
+// and capacities.
+void put_pack(std::string& out, const battery::DualPackConfig& p) {
+  const battery::SwitchFacilityConfig& s = p.switch_config;
+  put_double(out, s.latency.value());
+  put_double(out, s.switch_loss.value());
+  put_double(out, s.oscillator_hz);
+  put_double(out, s.high_level.value());
+  put_double(out, s.low_level.value());
+  put_double(out, p.supercap_capacitance.value());
+  put_double(out, p.supercap_voltage.value());
+  put_double(out, p.supercap_esr.value());
+  put_double(out, p.baseline_tau.value());
+}
+
+// The thermal stack; sample_device() replaces the ambient temperature.
+void put_thermal(std::string& out, const SimConfig& base) {
+  const thermal::PhoneThermalConfig& t = base.thermal_config;
+  put_double(out, t.cpu_capacity);
+  put_double(out, t.board_capacity);
+  put_double(out, t.battery_capacity);
+  put_double(out, t.surface_capacity);
+  put_double(out, t.cpu_board);
+  put_double(out, t.cpu_surface);
+  put_double(out, t.board_surface);
+  put_double(out, t.battery_board);
+  put_double(out, t.battery_surface);
+  put_double(out, t.surface_ambient);
+  const thermal::TecParams& tec = base.tec_params;
+  put_double(out, tec.seebeck_v_per_k);
+  put_double(out, tec.resistance.value());
+  put_double(out, tec.conductance_w_per_k);
+  put_double(out, tec.rated_current.value());
+  put_double(out, base.cooling_config.threshold.value());
+  put_double(out, base.cooling_config.hysteresis.value());
+}
+
 }  // namespace
 
 std::uint64_t checkpoint_fingerprint(const FleetConfig& config,
@@ -403,13 +502,18 @@ std::uint64_t checkpoint_fingerprint(const FleetConfig& config,
 
   // The per-device engine identity knobs that survive the fleet's forced
   // telemetry reset (sim/fleet.cpp run_device): step size, horizon, death
-  // model, cooling, the practice baseline.
+  // model, cooling, the practice baseline, the power-budget arbiter, the
+  // pack's switch facility and supercap, the thermal stack, and CAPMAN.
   put_double(bytes, config.base.dt.value());
   put_double(bytes, config.base.max_duration.value());
   put_u8(bytes, config.base.enable_tec ? 1 : 0);
   put_double(bytes, config.base.death_grace.value());
   put_u8(bytes, static_cast<std::uint8_t>(config.base.practice_chemistry));
   put_double(bytes, config.base.practice_capacity_mah);
+  put_budget(bytes, config.base.budget);
+  put_pack(bytes, config.base.pack_config);
+  put_thermal(bytes, config.base);
+  put_capman(bytes, config.capman);
   return fnv1a(bytes);
 }
 

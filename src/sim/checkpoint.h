@@ -79,9 +79,12 @@ struct CheckpointLoad {
 
 /// 64-bit FNV-1a fingerprint over the result-identity surface of a fleet
 /// configuration: device count, the resolved shard plan, seed, policy
-/// list, sketch accuracy, health enablement and the full population
-/// sampling model. Thread count is deliberately excluded — results never
-/// depend on it, so a campaign may resume with a different worker count.
+/// list, sketch accuracy, health enablement, the full population sampling
+/// model, every per-device engine knob the fleet does not override
+/// (power budget, pack switch/supercap, thermal, TEC, cooling) and the
+/// CAPMAN config. Thread counts (workers and capman.similarity_threads)
+/// are deliberately excluded — results never depend on them, so a
+/// campaign may resume with a different worker count.
 [[nodiscard]] std::uint64_t checkpoint_fingerprint(const FleetConfig& config,
                                                    std::size_t resolved_shards);
 

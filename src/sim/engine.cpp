@@ -4,11 +4,11 @@
 #include <array>
 #include <cmath>
 #include <exception>
-#include <stdexcept>
 
 #include "device/power_consumer.h"
 #include "obs/spans.h"
 #include "thermal/tec_consumer.h"
+#include "util/config_check.h"
 
 namespace capman::sim {
 
@@ -48,36 +48,18 @@ std::vector<std::string> SimConfig::validate() const {
   require(death_grace.value() > 0.0, "death_grace must be > 0");
   require(series_period.value() > 0.0, "series_period must be > 0");
   require(practice_capacity_mah > 0.0, "practice_capacity_mah must be > 0");
-  for (auto& error : pack_config.validate()) {
-    errors.push_back("pack_config." + error);
-  }
-  for (auto& error : thermal_config.validate()) {
-    errors.push_back("thermal_config." + error);
-  }
-  for (auto& error : cooling_config.validate()) {
-    errors.push_back("cooling_config." + error);
-  }
-  for (auto& error : telemetry.validate()) {
-    errors.push_back("telemetry." + error);
-  }
-  for (auto& error : budget.validate()) {
-    errors.push_back("budget." + error);
-  }
-  for (auto& error : faults.validate()) {
-    errors.push_back(std::move(error));
-  }
+  util::append_errors(errors, "pack_config.", pack_config.validate());
+  util::append_errors(errors, "thermal_config.", thermal_config.validate());
+  util::append_errors(errors, "cooling_config.", cooling_config.validate());
+  util::append_errors(errors, "telemetry.", telemetry.validate());
+  util::append_errors(errors, "budget.", budget.validate());
+  // FaultPlanConfig already prefixes its errors with "faults.".
+  util::append_errors(errors, "", faults.validate());
   return errors;
 }
 
 SimEngine::SimEngine(const SimConfig& config) : config_(config) {
-  const auto errors = config_.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid SimConfig:";
-    for (const auto& error : errors) {
-      message += "\n  - " + error;
-    }
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("SimConfig", config_.validate());
 }
 
 SimResult SimEngine::run(const workload::Trace& trace,

@@ -11,6 +11,7 @@
 #include "device/phone.h"
 #include "obs/metrics.h"
 #include "sim/checkpoint.h"
+#include "util/config_check.h"
 #include "util/sharding.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -170,9 +171,7 @@ std::vector<std::string> PopulationSpec::validate() const {
   require(trace_horizon.value() > 0.0, "trace_horizon must be > 0");
   require(fault_fraction >= 0.0 && fault_fraction <= 1.0,
           "fault_fraction must be in [0, 1]");
-  for (auto& error : fault_template.validate()) {
-    errors.push_back("fault_template." + error);
-  }
+  util::append_errors(errors, "fault_template.", fault_template.validate());
   return errors;
 }
 
@@ -214,28 +213,16 @@ std::vector<std::string> FleetConfig::validate() const {
   require(!base.faults.enabled(),
           "base.faults must be inactive; sample fleet faults via "
           "population.fault_fraction and fault_template");
-  for (auto& error : population.validate()) {
-    errors.push_back("population." + error);
-  }
-  for (auto& error : base.validate()) {
-    errors.push_back("base." + error);
-  }
-  for (auto& error : capman.validate()) {
-    errors.push_back("capman." + error);
-  }
-  for (auto& error : health.validate()) {
-    errors.push_back("health." + error);
-  }
+  util::append_errors(errors, "population.", population.validate());
+  util::append_errors(errors, "base.", base.validate());
+  util::append_errors(errors, "capman.", capman.validate());
+  util::append_errors(errors, "health.", health.validate());
   require(health.alerts_path.empty(),
           "health.alerts_path must be empty for fleet runs (fleets "
           "aggregate alert counts, they do not write per-device files)");
-  for (auto& error : checkpoint.validate()) {
-    errors.push_back("checkpoint." + error);
-  }
+  util::append_errors(errors, "checkpoint.", checkpoint.validate());
   if (recorder.enabled) {
-    for (auto& error : recorder.validate()) {
-      errors.push_back("recorder." + error);
-    }
+    util::append_errors(errors, "recorder.", recorder.validate());
   }
   return errors;
 }
@@ -337,14 +324,7 @@ const PolicyAggregate* FleetResult::find(PolicyKind kind) const {
 // FleetRunner
 
 FleetRunner::FleetRunner(FleetConfig config) : config_(std::move(config)) {
-  const auto errors = config_.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid FleetConfig:";
-    for (const auto& error : errors) {
-      message += "\n  - " + error;
-    }
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("FleetConfig", config_.validate());
   shards_ = util::resolve_shard_count(config_.shard_count,
                                       config_.device_count);
   threads_ = util::resolve_thread_count(config_.threads);
@@ -608,10 +588,11 @@ FleetResult FleetRunner::run() const {
   const bool checkpointing = !config_.checkpoint.directory.empty();
   ckstats.enabled = checkpointing;
   ckstats.every_shards = config_.checkpoint.every_shards;
-  const std::uint64_t fingerprint = checkpoint_fingerprint(config_, shards_);
+  std::uint64_t fingerprint = 0;
   std::optional<CheckpointWriter> writer;
   std::string checkpoint_path;
   if (checkpointing) {
+    fingerprint = checkpoint_fingerprint(config_, shards_);
     checkpoint_path = config_.checkpoint.directory + "/fleet.ckpt";
     CheckpointHeader header;
     header.fingerprint = fingerprint;

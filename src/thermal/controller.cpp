@@ -1,6 +1,6 @@
 #include "thermal/controller.h"
 
-#include <stdexcept>
+#include "util/config_check.h"
 
 namespace capman::thermal {
 
@@ -17,14 +17,7 @@ std::vector<std::string> CoolingControllerConfig::validate() const {
 
 CoolingController::CoolingController(const CoolingControllerConfig& config)
     : config_(config) {
-  const auto errors = config_.validate();
-  if (!errors.empty()) {
-    std::string message = "invalid CoolingControllerConfig:";
-    for (const auto& error : errors) {
-      message += "\n  - " + error;
-    }
-    throw std::invalid_argument(message);
-  }
+  util::throw_if_invalid("CoolingControllerConfig", config_.validate());
 }
 
 bool CoolingController::update(PhoneThermal& thermal) {

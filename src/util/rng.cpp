@@ -86,36 +86,6 @@ double Rng::pareto(double xm, double alpha) {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-std::uint64_t Rng::zipf(std::uint64_t n, double s) {
-  assert(n > 0);
-  // Cache key for the memoised CDF: rebuild on any parameter change, so an
-  // exact compare is what we want.  capman-lint: allow(float-compare)
-  if (zipf_n_ != n || zipf_s_ != s) {
-    zipf_cdf_.resize(n);
-    double sum = 0.0;
-    for (std::uint64_t k = 0; k < n; ++k) {
-      sum += 1.0 / std::pow(static_cast<double>(k + 1), s);
-      zipf_cdf_[k] = sum;
-    }
-    for (auto& v : zipf_cdf_) v /= sum;
-    zipf_n_ = n;
-    zipf_s_ = s;
-  }
-  const double u = uniform();
-  // Binary search the CDF.
-  std::uint64_t lo = 0;
-  std::uint64_t hi = n - 1;
-  while (lo < hi) {
-    const std::uint64_t mid = (lo + hi) / 2;
-    if (zipf_cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 bool Rng::chance(double p) { return uniform() < p; }
 
 Rng Rng::split() { return Rng{next_u64() ^ 0xa5a5a5a5deadbeefULL}; }

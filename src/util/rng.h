@@ -7,12 +7,11 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace capman::util {
 
 /// xoshiro256** PRNG with distribution helpers used by the workload
-/// generators (uniform, normal, exponential, Pareto, Zipf).
+/// generators (uniform, normal, exponential, Pareto).
 class Rng {
  public:
   explicit Rng(std::uint64_t seed);
@@ -43,9 +42,6 @@ class Rng {
   /// software demands are frequent with a skewed distribution").
   double pareto(double xm, double alpha);
 
-  /// Zipf-distributed rank in [0, n) with exponent s (rank 0 most likely).
-  std::uint64_t zipf(std::uint64_t n, double s);
-
   /// Bernoulli trial.
   bool chance(double p);
 
@@ -56,10 +52,6 @@ class Rng {
   std::array<std::uint64_t, 4> state_{};
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
-  // Zipf sampling cache: harmonic partial sums for the last (n, s) pair.
-  std::uint64_t zipf_n_ = 0;
-  double zipf_s_ = 0.0;
-  std::vector<double> zipf_cdf_;
 };
 
 }  // namespace capman::util

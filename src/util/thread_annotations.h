@@ -1,8 +1,8 @@
 // Clang thread-safety-analysis annotations + an annotated mutex.
 //
-// The locking conventions in obs::MetricsRegistry, obs::SpanProfiler,
-// util::ThreadPool and util::Logger used to live in comments ("guards the
-// maps, not the instruments"). This header turns them into checked
+// The locking conventions in obs::MetricsRegistry, obs::SpanProfiler and
+// util::ThreadPool used to live in comments ("guards the maps, not the
+// instruments"). This header turns them into checked
 // contracts: under clang the CAPMAN_* macros expand to the
 // -Wthread-safety attributes, so `clang++ -Wthread-safety` (and the
 // thread_safety_check CTest gate) proves every access to a

@@ -97,30 +97,6 @@ TEST_P(ChemistrySweep, DeliveredEnergyBoundedByChemicalBudget) {
   EXPECT_GT(delivered, 0.25 * budget);  // LCO strands heavily by design
 }
 
-TEST_P(ChemistrySweep, ChargeDischargeRoundTripLosesEnergy) {
-  // No perpetual motion: a full discharge/charge cycle returns at most the
-  // energy that was put in.
-  Cell cell{GetParam(), 400.0};
-  double out = 0.0;
-  int guard = 0;
-  while (!cell.exhausted() && guard++ < 200000) {
-    const auto r = cell.draw(Watts{0.5}, Seconds{2.0});
-    if (r.brownout) break;
-    out += r.delivered.value();
-  }
-  double in = 0.0;
-  const double i_amps = 0.4 * cell.capacity_ah();
-  guard = 0;
-  while (!cell.full() && guard++ < 200000) {
-    const double v = cell.open_circuit_voltage().value();
-    const double accepted =
-        cell.charge(util::Amperes{i_amps}, Seconds{5.0}, 0.95).value();
-    in += i_amps * 5.0 * v;  // wall-side energy
-    if (accepted <= 0.0) break;
-  }
-  EXPECT_GT(in, 0.9 * out);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllChemistries, ChemistrySweep,
                          ::testing::ValuesIn(all_chemistries()),
                          [](const auto& param_info) {

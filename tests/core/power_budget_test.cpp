@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "config_error_message.h"
 #include "device/phone.h"
 #include "thermal/tec_consumer.h"
 
@@ -139,6 +140,8 @@ TEST(PowerBudgetArbiter, ConstructorThrowsListingEveryError) {
     EXPECT_NE(what.find("base_budget_mw must be > 0"), std::string::npos);
     EXPECT_NE(what.find("static_margin must be in (0, 1]"),
               std::string::npos);
+    EXPECT_EQ(what, expected_config_message("PowerBudgetArbiterConfig",
+                                            config.validate()));
   }
 }
 

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "config_error_message.h"
 #include "core/controller.h"
 #include "core/degradation.h"
 #include "core/profiler.h"
@@ -56,6 +57,11 @@ TEST(CapmanConfigValidate, DefaultsValidAndErrorsNameFields) {
   EXPECT_NE(errors[2].find("exploration_floor"), std::string::npos);
   EXPECT_NE(errors[3].find("value_iteration: rho"), std::string::npos);
   EXPECT_THROW((CapmanController{bad, 42}), std::invalid_argument);
+  bad.c_a = 1.0;  // also reported through the derived similarity config
+  const auto nested = bad.validate();
+  ASSERT_GE(nested.size(), 5u);
+  EXPECT_EQ(thrown_config_message([&] { (void)CapmanController{bad, 42}; }),
+            expected_config_message("CapmanConfig", nested));
 }
 
 TEST(CapmanConfigValidate, DerivedConfigsCarryTheKnobs) {
@@ -83,7 +89,8 @@ TEST(DegradationConfigValidate, EnabledGuardRejectsBadKnobs) {
   ASSERT_EQ(errors.size(), 2u);
   EXPECT_NE(errors[0].find("retry_backoff"), std::string::npos);
   EXPECT_NE(errors[1].find("retry_max"), std::string::npos);
-  EXPECT_THROW(DegradationGuard{bad}, std::invalid_argument);
+  EXPECT_EQ(thrown_config_message([&] { (void)DegradationGuard{bad}; }),
+            expected_config_message("DegradationConfig", errors));
   // A disabled guard never reads its knobs, so it must not throw: the
   // default-constructed guard path stays bit-identical to a guard-less
   // build even with garbage knobs.

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "config_error_message.h"
 #include "obs/flight_recorder.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
@@ -68,7 +69,8 @@ TEST(HealthConfigValidate, FieldMessagesAreLocked) {
       "alerts_path requires enabled to be true",
   };
   EXPECT_EQ(config.validate(), expected);
-  EXPECT_THROW(HealthMonitor{config}, std::invalid_argument);
+  EXPECT_EQ(thrown_config_message([&] { (void)HealthMonitor{config}; }),
+            expected_config_message("HealthConfig", expected));
   EXPECT_TRUE(HealthConfig{}.validate().empty());
 }
 
@@ -263,6 +265,27 @@ TEST(FlightRecorder, EnabledWithoutDumpPathIsInvalid) {
   EXPECT_FALSE(config.validate().empty());
   EXPECT_THROW(FlightRecorder{config}, std::invalid_argument);
   EXPECT_TRUE(FlightRecorderConfig{}.validate().empty());
+}
+
+TEST(FlightRecorder, BothCtorsThrowEveryErrorInOneMessage) {
+  FlightRecorderConfig config;
+  config.enabled = true;
+  config.capacity = 0;
+  const auto errors = config.validate();
+  ASSERT_GE(errors.size(), 2u);
+  EXPECT_EQ(thrown_config_message([&] { (void)FlightRecorder{config}; }),
+            expected_config_message("FlightRecorderConfig", errors));
+  // The stream-backed ctor patches only an enabled recorder's missing
+  // dump_path, so a disabled config reports its own errors unchanged.
+  FlightRecorderConfig disabled;
+  disabled.capacity = 0;
+  disabled.dump_at_end = true;
+  const auto disabled_errors = disabled.validate();
+  ASSERT_GE(disabled_errors.size(), 2u);
+  std::ostringstream out;
+  EXPECT_EQ(
+      thrown_config_message([&] { (void)FlightRecorder{disabled, out}; }),
+      expected_config_message("FlightRecorderConfig", disabled_errors));
 }
 
 TEST(FlightRecorder, TriggerOnEmptyRingWritesNothing) {

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "config_error_message.h"
+
 namespace capman::obs {
 namespace {
 
@@ -126,6 +128,11 @@ TEST(MetricsSampler, CtorRejectsInvalidConfig) {
   SamplerConfig config = enabled_config();
   config.period_s = -1.0;
   EXPECT_THROW(MetricsSampler{config}, std::invalid_argument);
+  config.capacity = 1;
+  const auto errors = config.validate();
+  ASSERT_GE(errors.size(), 2u);
+  EXPECT_EQ(thrown_config_message([&] { (void)MetricsSampler{config}; }),
+            expected_config_message("SamplerConfig", errors));
 }
 
 TEST(MetricsSampler, DuplicateChannelNamesThrow) {

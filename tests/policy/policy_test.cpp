@@ -2,6 +2,7 @@
 
 #include "policy/baselines.h"
 #include "policy/capman_policy.h"
+#include "config_error_message.h"
 #include "policy/oracle.h"
 
 namespace capman::policy {
@@ -87,7 +88,8 @@ TEST(Oracle, ConfigValidateNamesTheInvalidField) {
   ASSERT_EQ(errors.size(), 2u);
   EXPECT_NE(errors[0].find("little_reserve_soc"), std::string::npos);
   EXPECT_NE(errors[1].find("lookahead_cap_s"), std::string::npos);
-  EXPECT_THROW(OraclePolicy{bad}, std::invalid_argument);
+  EXPECT_EQ(thrown_config_message([&] { (void)OraclePolicy{bad}; }),
+            expected_config_message("OracleConfig", errors));
 }
 
 TEST(Oracle, DefaultsToBigWithoutPack) {

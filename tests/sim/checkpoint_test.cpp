@@ -309,6 +309,58 @@ TEST_F(CheckpointTest, FingerprintChangesWithIdentityFields) {
   other = config;
   other.checkpoint.every_shards = 99;
   EXPECT_EQ(checkpoint_fingerprint(other, 4), base);
+
+  // So is Algorithm 1's thread count: results are bit-identical for any.
+  other = config;
+  other.capman.similarity_threads = 3;
+  EXPECT_EQ(checkpoint_fingerprint(other, 4), base);
+}
+
+// Every engine knob a device run reads moves the fingerprint: the arbiter
+// (including its corecap table), CAPMAN, the pack's switch facility and
+// supercap, the thermal network, the TEC and its controller.
+TEST_F(CheckpointTest, FingerprintCoversEveryResultAffectingEngineKnob) {
+  FleetConfig config;
+  const std::uint64_t base = checkpoint_fingerprint(config, 4);
+  const auto moves = [&](auto&& mutate) {
+    FleetConfig other = config;
+    mutate(other);
+    return checkpoint_fingerprint(other, 4) != base;
+  };
+  EXPECT_TRUE(moves([](FleetConfig& c) { c.base.budget.enabled = true; }));
+  EXPECT_TRUE(moves([](FleetConfig& c) {
+    c.base.budget.cap_method = core::CapMethod::kStatic;
+  }));
+  EXPECT_TRUE(moves([](FleetConfig& c) {
+    c.base.budget.base_budget_mw = util::Milliwatts{2500.0};
+  }));
+  EXPECT_TRUE(moves([](FleetConfig& c) {
+    c.base.budget.level_fraction[2] = util::Ratio{0.5};
+  }));
+  EXPECT_TRUE(moves([](FleetConfig& c) {
+    c.base.budget.corecaps.back().cooling_priority.tec_mw =
+        util::Milliwatts{1.0};
+  }));
+  EXPECT_TRUE(moves([](FleetConfig& c) { c.capman.rho = 0.7; }));
+  EXPECT_TRUE(moves([](FleetConfig& c) { c.capman.learn_budget = true; }));
+  EXPECT_TRUE(moves([](FleetConfig& c) {
+    c.capman.maintenance_power = util::Watts{0.05};
+  }));
+  EXPECT_TRUE(moves([](FleetConfig& c) {
+    c.base.pack_config.switch_config.latency = util::Seconds{0.002};
+  }));
+  EXPECT_TRUE(moves([](FleetConfig& c) {
+    c.base.pack_config.supercap_capacitance = util::Farads{1.0};
+  }));
+  EXPECT_TRUE(moves([](FleetConfig& c) {
+    c.base.thermal_config.surface_ambient = 0.25;
+  }));
+  EXPECT_TRUE(moves([](FleetConfig& c) {
+    c.base.tec_params.seebeck_v_per_k = 0.006;
+  }));
+  EXPECT_TRUE(moves([](FleetConfig& c) {
+    c.base.cooling_config.threshold = util::Celsius{40.0};
+  }));
 }
 
 TEST_F(CheckpointTest, UnknownVersionIsRefused) {
@@ -418,6 +470,27 @@ TEST_F(CheckpointTest, MismatchedConfigRefusesToResume) {
               std::string::npos)
         << error.what();
   }
+}
+
+TEST_F(CheckpointTest, ResumeUnderADifferentBudgetOrCapmanConfigIsRefused) {
+  auto config = resume_fleet(dir_.string());
+  (void)FleetRunner{config}.run();
+  config.checkpoint.resume = true;
+
+  const auto refused = [&](auto&& mutate) {
+    auto other = config;
+    mutate(other);
+    try {
+      (void)FleetRunner{other}.run();
+    } catch (const std::runtime_error& error) {
+      return std::string{error.what()}.find("fingerprint mismatch") !=
+             std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(refused([](FleetConfig& c) { c.base.budget.enabled = true; }));
+  EXPECT_TRUE(refused([](FleetConfig& c) { c.capman.rho = 0.7; }));
+  EXPECT_TRUE(refused([](FleetConfig& c) { c.capman.learn_budget = true; }));
 }
 
 TEST_F(CheckpointTest, ResumeWithoutAFileIsAColdStart) {

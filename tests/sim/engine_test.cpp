@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "config_error_message.h"
 #include "sim/experiment.h"
 #include "workload/generators.h"
 
@@ -244,6 +247,35 @@ TEST(SimConfigValidate, EngineConstructionRejectsInvalidConfig) {
   EXPECT_THROW(
       (ExperimentRunner{nexus(), {bad_switch, 42, std::nullopt}}),
       std::invalid_argument);
+}
+
+// Every nested config keeps its own prefix ("pack_config.switch_config: ",
+// "budget.", ...), the fault plan keeps the "faults." it writes itself, and
+// all of them land in one message.
+TEST(SimConfigValidate, EngineThrowsEveryNestedErrorInOneMessage) {
+  SimConfig config;
+  config.dt = util::Seconds{0.0};
+  config.pack_config.switch_config.oscillator_hz = -1.0;
+  config.thermal_config.ambient = util::Celsius{-300.0};
+  config.cooling_config.hysteresis = util::KelvinDiff{-1.0};
+  config.telemetry.verbose_spans = true;
+  config.budget.enabled = true;
+  config.budget.min_rebudget_gap_s = 0.0;
+  config.faults.latency_spike_prob = 2.0;
+  const auto errors = config.validate();
+  const std::vector<std::string> expected = {
+      "dt must be > 0",
+      "pack_config.switch_config: oscillator_hz (oscillator frequency) must "
+      "be > 0",
+      "thermal_config.ambient must be above absolute zero",
+      "cooling_config.hysteresis must be >= 0",
+      "telemetry.verbose_spans requires spans_path to be set",
+      "budget.min_rebudget_gap_s must be > 0",
+      "faults.latency_spike_prob must be in [0, 1]",
+  };
+  EXPECT_EQ(errors, expected);
+  EXPECT_EQ(thrown_config_message([&] { (void)SimEngine{config}; }),
+            expected_config_message("SimConfig", errors));
 }
 
 TEST(ExperimentRunner, CompareIsDeterministic) {

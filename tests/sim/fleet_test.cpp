@@ -12,8 +12,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "battery/cell.h"
+#include "config_error_message.h"
 #include "sim/checkpoint.h"
 #include "util/sharding.h"
 #include "workload/generators.h"
@@ -153,6 +155,33 @@ TEST(FleetRunner, CtorThrowsListingEveryProblem) {
     EXPECT_NE(message.find("device_count must be > 0"), std::string::npos);
     EXPECT_NE(message.find("policies must not be empty"), std::string::npos);
   }
+}
+
+TEST(FleetRunner, CtorMessageListsEveryNestedErrorInOrder) {
+  FleetConfig config;
+  config.device_count = 0;
+  config.population.phones.clear();
+  config.base.dt = util::Seconds{0.0};
+  config.capman.rho = 1.0;
+  config.health.tte_window_s = 0.0;
+  config.checkpoint.every_shards = 0;
+  config.recorder.enabled = true;
+  config.recorder.capacity = 0;
+  const auto errors = config.validate();
+  const std::vector<std::string> expected = {
+      "device_count must be > 0",
+      "population.phones must not be empty",
+      "base.dt must be > 0",
+      "capman.rho must be in (0, 1)",
+      "capman.value_iteration: rho must be in (0, 1)",
+      "health.tte_window_s must be > 0",
+      "checkpoint.every_shards must be > 0",
+      "recorder.capacity must be >= 2",
+      "recorder.dump_path is required when enabled",
+  };
+  EXPECT_EQ(errors, expected);
+  EXPECT_EQ(thrown_config_message([&] { (void)FleetRunner{config}; }),
+            expected_config_message("FleetConfig", errors));
 }
 
 TEST(FleetRunner, DeviceSeedIsPureAndSpreads) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config_error_message.h"
 #include "thermal/controller.h"
 #include "thermal/phone_thermal.h"
 
@@ -114,6 +115,14 @@ TEST(CoolingController, TurnsOnAboveThresholdOffBelowHysteresis) {
   phone.tec().turn_on();  // reset turned it off; restore controller's view
   EXPECT_FALSE(ctrl.update(phone));
   EXPECT_EQ(ctrl.activation_count(), 1u);
+}
+
+TEST(CoolingController, CtorThrowsEveryErrorInOneMessage) {
+  const CoolingControllerConfig bad{Celsius{-300.0}, util::KelvinDiff{-1.0}};
+  const auto errors = bad.validate();
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(thrown_config_message([&] { (void)CoolingController{bad}; }),
+            expected_config_message("CoolingControllerConfig", errors));
 }
 
 TEST(CoolingController, HysteresisPreventsChatter) {

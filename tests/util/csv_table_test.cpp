@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "util/csv.h"
-#include "util/logging.h"
 #include "util/table.h"
 
 namespace capman::util {
@@ -70,30 +69,6 @@ TEST(Table, SectionHeader) {
   std::ostringstream os;
   print_section(os, "Fig. 12");
   EXPECT_NE(os.str().find("Fig. 12"), std::string::npos);
-}
-
-TEST(Logging, RespectsLevel) {
-  std::ostringstream os;
-  auto& logger = Logger::instance();
-  logger.set_sink(&os);
-  logger.set_level(LogLevel::kWarn);
-  log_info("test", "hidden");
-  log_warn("test", "visible ", 42);
-  logger.set_sink(nullptr);
-  EXPECT_EQ(os.str().find("hidden"), std::string::npos);
-  EXPECT_NE(os.str().find("visible 42"), std::string::npos);
-  EXPECT_NE(os.str().find("[WARN]"), std::string::npos);
-}
-
-TEST(Logging, OffSilencesEverything) {
-  std::ostringstream os;
-  auto& logger = Logger::instance();
-  logger.set_sink(&os);
-  logger.set_level(LogLevel::kOff);
-  log_error("test", "nope");
-  logger.set_sink(nullptr);
-  logger.set_level(LogLevel::kWarn);
-  EXPECT_TRUE(os.str().empty());
 }
 
 }  // namespace

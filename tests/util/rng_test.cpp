@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -107,24 +106,6 @@ TEST(Rng, ParetoIsHeavyTailed) {
     if (rng.pareto(1.0, 1.5) > 10.0) ++over;
   }
   EXPECT_NEAR(static_cast<double>(over) / n, 0.0316, 0.006);
-}
-
-TEST(Rng, ZipfRankZeroMostFrequent) {
-  Rng rng{16};
-  std::vector<int> counts(20, 0);
-  for (int i = 0; i < 50000; ++i) {
-    ++counts[rng.zipf(20, 1.2)];
-  }
-  EXPECT_EQ(std::max_element(counts.begin(), counts.end()) - counts.begin(),
-            0);
-  // Monotone-ish decay between first and later ranks.
-  EXPECT_GT(counts[0], counts[5]);
-  EXPECT_GT(counts[1], counts[10]);
-}
-
-TEST(Rng, ZipfWithinRange) {
-  Rng rng{17};
-  for (int i = 0; i < 10000; ++i) EXPECT_LT(rng.zipf(7, 0.9), 7u);
 }
 
 TEST(Rng, ChanceProbabilityRoughlyHonored) {
